@@ -267,14 +267,24 @@ let validate_record lineno doc =
       check
         (not (has "est.samples_drawn" <> has "est.strata"))
         (where "est.samples_drawn and est.strata must move together");
-      (* Daemon accounting: every dedup join is a joined *request*, so
-         joins never appear without the request counter and never
-         exceed it. *)
       let num name =
         match List.assoc_opt name values with
         | Some (Num f) -> Some f
         | _ -> None
       in
+      (* Definition 2 accounting: every two-rail evaluation answers at
+         least one (candidate, chain member) pair, and pairs are only
+         ever answered by evaluations. *)
+      check
+        (not (has "def2.words" <> has "def2.pairs"))
+        (where "def2.words and def2.pairs must move together");
+      (match (num "def2.words", num "def2.pairs") with
+      | Some words, Some pairs ->
+        check (pairs >= words) (where "def2.pairs must be >= def2.words")
+      | _ -> ());
+      (* Daemon accounting: every dedup join is a joined *request*, so
+         joins never appear without the request counter and never
+         exceed it. *)
       (match num "serve.dedup_joins" with
       | Some joins when joins > 0.0 -> (
         match num "serve.requests" with

@@ -9,6 +9,7 @@ module Worst_case = Ndetect_core.Worst_case
 module Definition2 = Ndetect_core.Definition2
 module Procedure1 = Ndetect_core.Procedure1
 module Random_circuit = Ndetect_suite.Random_circuit
+module Word = Ndetect_logic.Word
 
 type divergence = { cell : string; expected : string; actual : string }
 
@@ -168,8 +169,10 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
             (Printf.sprintf "nmin_witness(g%d)" gj)
             (string_of_int expected) "no witness"
     done;
-    (* Definition 2 verdicts on sampled vector pairs: the memoized cone
-       oracle against the whole-circuit re-evaluation. *)
+    (* Definition 2 verdicts on sampled vector pairs, and one full word
+       of candidates per fault against the sampled vectors as a chain:
+       the word-parallel oracle against the whole-circuit
+       re-evaluation. *)
     let def2_opt = Definition2.create table in
     let def2_ref =
       Ref_def2.create net (Array.init f_count (Ref_table.target_fault rt))
@@ -195,7 +198,20 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
                   ~expected:(Ref_def2.different def2_ref ~fi v1 v2)
                   ~actual:(Definition2.different def2_opt ~fi v1 v2))
             vectors)
-        vectors
+        vectors;
+      (* Lane j asks about vector j mod |U|, so a small universe also
+         repeats chain members in the word. *)
+      let cands = Array.init Word.width (fun j -> j mod universe) in
+      let mask =
+        Definition2.accepts def2_opt ~fi ~chain:vectors cands Word.width
+      in
+      Array.iteri
+        (fun j v ->
+          check_bool
+            (Printf.sprintf "def2_word(f%d,lane %d=%d)" fi j v)
+            ~expected:(Ref_def2.chain_extend def2_ref ~fi ~chain:vectors v)
+            ~actual:((mask lsr j) land 1 = 1))
+        cands
     done;
     (* Procedure 1: full replay from the same split streams. *)
     let mode =

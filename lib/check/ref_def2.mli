@@ -4,9 +4,10 @@
     fault [f] iff their common partial test [tij] (specified only where
     they agree) does {e not} detect [f] under pessimistic three-valued
     simulation. The optimized oracle ({!Ndetect_core.Definition2})
-    memoizes verdicts and re-evaluates only the fault's fanout cone;
-    this one re-simulates the whole circuit on every query and caches
-    nothing. *)
+    answers a word of questions per two-rail evaluation restricted to
+    the fault's cone and its outputs' fanin support; this one asks one
+    question at a time, re-simulates the whole circuit in scalar
+    three-valued logic on every query, and caches nothing. *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck

@@ -2,6 +2,7 @@ module Bitvec = Ndetect_util.Bitvec
 module Rng = Ndetect_util.Rng
 module Parallel = Ndetect_util.Parallel
 module Telemetry = Ndetect_util.Telemetry
+module Word = Ndetect_logic.Word
 
 type mode = Definition1 | Definition2 | Multi_output
 
@@ -78,25 +79,39 @@ let observing_mask sh fi v =
     sets;
   !mask
 
+let lowest_lane mask =
+  let rec go j = if (mask lsr j) land 1 = 1 then j else go (j + 1) in
+  go 0
+
 let pick_uniform_diff rng tf members =
   let available = Bitvec.diff_count tf members in
   if available = 0 then None
   else Some (Bitvec.nth_diff tf members (Rng.int rng ~bound:available))
 
-(* Uniform draw from the candidates of T(fi) - Tk satisfying [accepts]:
+(* Uniform draw from the candidates of T(fi) - Tk that are acceptable:
    a few rejection samples first, then a scan of the unused tests in a
    uniformly random order, returning the first acceptable one. Both
    phases draw uniformly over the candidate set (the first acceptable
    element of a uniform permutation is uniform over acceptables, by
    symmetry), and the permutation scan only pays for the full set when
-   no candidate exists at all. *)
+   no candidate exists at all.
+
+   [accepts cands n] is the mask of the acceptable lanes among
+   [cands.(0 .. n - 1)], with [n <= Word.width]. Rejection samples ask
+   one lane at a time (drawing ahead would consume the stream
+   differently); the scan asks a word of the permutation at a time and
+   takes its lowest accepted lane, i.e. still the first acceptable
+   element. *)
 let pick_candidate rng ~accepts s tf =
+  let lanes = Array.make Word.width 0 in
   let rec sample attempts =
     if attempts = 0 then None
     else
       match pick_uniform_diff rng tf s.members with
       | None -> None
-      | Some v -> if accepts v then Some v else sample (attempts - 1)
+      | Some v ->
+        lanes.(0) <- v;
+        if accepts lanes 1 <> 0 then Some v else sample (attempts - 1)
   in
   match sample 8 with
   | Some v -> Some v
@@ -107,10 +122,14 @@ let pick_candidate rng ~accepts s tf =
       |> Array.of_list
     in
     Rng.shuffle_in_place rng unused;
-    let rec scan i =
-      if i >= Array.length unused then None
-      else if accepts unused.(i) then Some unused.(i)
-      else scan (i + 1)
+    let rec scan lo =
+      if lo >= Array.length unused then None
+      else begin
+        let n = min Word.width (Array.length unused - lo) in
+        Array.blit unused lo lanes 0 n;
+        let mask = accepts lanes n in
+        if mask = 0 then scan (lo + n) else Some lanes.(lowest_lane mask)
+      end
     in
     scan 0
 
@@ -192,11 +211,11 @@ let run_one cancel sh def2 rng =
         if s.chain_lens.(fi) < n then
           if s.strict_exhausted.(fi) then fallback_def1 ()
           else begin
-            let accepts v =
+            let accepts cands n =
               match def2 with
               | Some def2 ->
-                Definition2.chain_extend def2 ~fi ~chain:s.chains.(fi) v
-              | None -> false
+                Definition2.accepts def2 ~fi ~chain:s.chains.(fi) cands n
+              | None -> 0
             in
             match pick_candidate rng ~accepts s tf with
             | Some v -> add_test ~iteration:n v
@@ -208,8 +227,18 @@ let run_one cancel sh def2 rng =
         if s.chain_lens.(fi) < n then
           if s.strict_exhausted.(fi) then fallback_def1 ()
           else begin
-            let accepts v =
-              observing_mask sh fi v land lnot s.chain_masks.(fi) <> 0
+            (* Lane by lane up to the first acceptable one: only the
+               lowest accepted lane is ever used. *)
+            let accepts cands n =
+              let rec first j =
+                if j >= n then 0
+                else if
+                  observing_mask sh fi cands.(j) land lnot s.chain_masks.(fi)
+                  <> 0
+                then 1 lsl j
+                else first (j + 1)
+              in
+              first 0
             in
             match pick_candidate rng ~accepts s tf with
             | Some v -> add_test ~iteration:n v
@@ -333,9 +362,9 @@ let run ?(cancel = Ndetect_util.Cancel.none) ?domains ?report_faults table
               [ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
           @@ fun () ->
           begin
-          (* One Definition-2 oracle per chunk: its memo tables are
-             plain Hashtbls, so they must not cross domains; results are
-             pure, so per-chunk instances do not affect the outcome. *)
+          (* One Definition-2 oracle per chunk: its scratch rails are
+             mutable, so they must not cross domains; verdicts are pure,
+             so per-chunk instances do not affect the outcome. *)
           let def2 =
             match config.mode with
             | Definition2 -> Some (Definition2.create table)

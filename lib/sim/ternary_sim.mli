@@ -1,10 +1,13 @@
-(** Pessimistic three-valued simulation, used for Definition 2: a test
-    [tij] that is specified only where two tests agree detects a fault [f]
-    iff, under 3-valued simulation of both the fault-free and the faulty
-    circuit, some primary output has a binary value in both and the values
-    differ. *)
+(** Pessimistic three-valued simulation. A partially specified test
+    detects a fault [f] iff, under 3-valued simulation of both the
+    fault-free and the faulty circuit, some primary output has a binary
+    value in both and the values differ — Definition 2 asks this of the
+    test [tij] specified only where two tests agree. The scalar
+    evaluators serve PODEM; the two-rail word evaluator serves
+    Definition 2. *)
 
 module Ternary = Ndetect_logic.Ternary
+module Word = Ndetect_logic.Word
 module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck
 
@@ -16,22 +19,35 @@ val eval_with_stuck : Netlist.t -> Stuck.t -> Ternary.t array -> Ternary.t array
 val detects_stuck : Netlist.t -> Stuck.t -> Ternary.t array -> bool
 (** Whether the (partially specified) test definitely detects the fault. *)
 
-type cone
-(** Precomputed fanout-cone schedule of a fault's injection site, for
-    repeated {!detects_stuck_in_cone} queries against the same fault. *)
+(** {2 Two-rail word-parallel evaluation}
 
-val stuck_cone : Netlist.t -> Stuck.t -> cone
+    One word carries up to {!Word.width} partially
+    specified tests, one per lane, as two masks per node: the lanes where
+    the node may be 0 and the lanes where it may be 1 (X sets both).
+    Kleene gates become bitwise operations on these rails, so a single
+    pass gives the same verdict as {!detects_stuck} for every lane. *)
 
-val detects_stuck_in_cone :
-  Netlist.t -> Stuck.t -> cone -> good:Ternary.t array ->
-  Ternary.t array -> bool
-(** Same verdict as {!detects_stuck}, given the fault-free values [good]
-    of the same test: only the cone is re-evaluated, so the cost is
-    proportional to the fault's fanout cone instead of the whole
-    circuit. Definition-2 counting calls this in its inner loop. *)
+type rails
+(** Scratch rails for one netlist: the fault-free and the faulty value of
+    every node. Mutable; not for sharing across domains. *)
 
-val common_test : Ternary.t array -> Ternary.t array -> Ternary.t array
-(** The test [tij] of Definition 2: specified where both agree. *)
+val rails : Netlist.t -> rails
 
-val test_of_vector : Netlist.t -> int -> Ternary.t array
-(** Fully specified ternary test from a universe vector. *)
+val set_input : rails -> int -> zero:Word.t -> one:Word.t -> unit
+(** [set_input r i ~zero ~one] sets primary input [i]'s lanes: [zero]
+    where it may be 0, [one] where it may be 1. Every live lane must be
+    set in at least one rail. *)
+
+type stuck_words
+(** The precomputed evaluation schedule of one stuck-at fault. *)
+
+val stuck_words : Netlist.t -> Stuck.t -> stuck_words
+
+val detects_stuck_words : stuck_words -> rails -> live:Word.t -> Word.t
+(** The lanes (within [live]) whose test, as set on the inputs of
+    [rails], detects the fault: some primary output is binary in both
+    the fault-free and the faulty circuit, with different values. Lane
+    by lane the same verdict as {!detects_stuck}. Only the fanin support
+    of the outputs the fault reaches is evaluated, without allocating.
+    Raises [Invalid_argument] when [rails] belong to a netlist of
+    another size. *)

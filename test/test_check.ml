@@ -55,7 +55,7 @@ let test_ref_worst_unbounded () =
   (* A fault with no intersecting target set gets the sentinel. *)
   Alcotest.(check int) "sentinel" max_int Ref_worst.unbounded
 
-(* Definition 2 verdicts: memoized cone oracle vs whole-circuit ternary
+(* Definition 2 verdicts: word-parallel oracle vs whole-circuit ternary
    re-evaluation, all pairs over the example circuit's universe. *)
 let test_def2_all_pairs_example () =
   let net = Example.circuit () in
@@ -77,6 +77,57 @@ let test_def2_all_pairs_example () =
       done
     done
   done
+
+(* The batched Definition 2 entry point, lane by lane against the
+   reference, on random circuits: lane counts from 1 to a full word
+   (partial words leave lanes clear), candidates that repeat a chain
+   member (never different), empty chains, and chains longer than one
+   word (evaluated in several member words). *)
+let prop_def2_accepts_matches_reference =
+  QCheck.Test.make ~count:30 ~name:"def2 accepts == reference, lane by lane"
+    QCheck.(pair Helpers.circuit_arbitrary (int_bound 1_000_000))
+    (fun ((seed, inputs, gates), draw) ->
+      let net = Helpers.random_circuit ~seed ~inputs ~gates in
+      let faults = Ndetect_faults.Stuck.all net in
+      let opt = Definition2.of_faults net faults in
+      let refo = Ref_def2.create net faults in
+      let universe = Netlist.universe_size net in
+      let rng = Random.State.make [| draw |] in
+      let vector () = Random.State.int rng universe in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        let fi = Random.State.int rng (Array.length faults) in
+        let chain_len =
+          match Random.State.int rng 4 with
+          | 0 -> 0
+          | 1 -> 1 + Random.State.int rng 3
+          | 2 -> 4 + Random.State.int rng 12
+          | _ -> Ndetect_logic.Word.width + 1 + Random.State.int rng 8
+        in
+        let chain = List.init chain_len (fun _ -> vector ()) in
+        let chain_arr = Array.of_list chain in
+        let n =
+          match Random.State.int rng 3 with
+          | 0 -> 1
+          | 1 -> Ndetect_logic.Word.width
+          | _ -> 1 + Random.State.int rng Ndetect_logic.Word.width
+        in
+        let cands =
+          Array.init Ndetect_logic.Word.width (fun _ ->
+              if chain_len > 0 && Random.State.int rng 4 = 0 then
+                chain_arr.(Random.State.int rng chain_len)
+              else vector ())
+        in
+        let mask = Definition2.accepts opt ~fi ~chain cands n in
+        if mask lsr n <> 0 then ok := false;
+        for j = 0 to n - 1 do
+          if
+            (mask lsr j) land 1 = 1
+            <> Ref_def2.chain_extend refo ~fi ~chain cands.(j)
+          then ok := false
+        done
+      done;
+      !ok)
 
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
@@ -200,6 +251,7 @@ let () =
             test_def2_all_pairs_example;
           Alcotest.test_case "clean campaign" `Quick test_clean_campaign;
           Helpers.qcheck prop_random_circuit_agrees;
+          Helpers.qcheck prop_def2_accepts_matches_reference;
         ] );
       ( "self-test",
         [

@@ -2,6 +2,7 @@
    bench/main. *)
 
 module Driver = Ndetect_harness.Driver
+module Api = Ndetect_harness.Api
 module Checkpoint = Ndetect_harness.Checkpoint
 module Registry = Ndetect_suite.Registry
 
@@ -641,7 +642,27 @@ let test_metrics_domain_invariant () =
         (Printf.sprintf "domains %d matches domains 1" domains)
         true
         (run domains = reference))
-    [ 2; 4 ]
+    [ 2; 4 ];
+  (* A Definition 2 request (Table 6 on mark1, four sets so that two
+     domains split them): the oracle's work counters must not depend on
+     the domain count either. *)
+  let def2 domains =
+    let req =
+      Api.Request.make ~sections:[ Api.Request.Average_def2 ] ~k2:4 ~domains
+        ~label:"mark1" (Api.Request.Suite "mark1")
+    in
+    match Api.run req with
+    | Error message -> Alcotest.fail message
+    | Ok resp ->
+      List.filter
+        (fun (name, _) -> String.starts_with ~prefix:"def2." name)
+        resp.Api.Response.counters
+  in
+  let def2_reference = def2 1 in
+  Alcotest.(check bool) "def2 counters moved" true
+    (List.length def2_reference = 2);
+  Alcotest.(check (list (pair string int)))
+    "def2 counters, domains 2 matches domains 1" def2_reference (def2 2)
 
 (* supervision: containment, timeout rows, kill-and-resume *)
 

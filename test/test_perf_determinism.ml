@@ -183,6 +183,45 @@ let prop_cone_cache_transparent =
              && Bitvec.equal fresh oracle)
            faults))
 
+(* Golden digest of Procedure 1 under Definition 2 on two suite
+   circuits (one set, nmax = 10, seed 1): every test set in insertion
+   order and every target fault's counted chain. Recorded with the
+   scalar one-question-at-a-time oracle, so any change to a verdict or
+   to the candidate scan's pick shows up as a different digest. *)
+let def2_golden_md5 = "be352eaaa9bd5416bbeae835c29e22a7"
+
+let def2_digest_input () =
+  let buf = Buffer.create 4096 in
+  let ints vs = String.concat ";" (List.map string_of_int vs) in
+  List.iter
+    (fun name ->
+      let entry = Option.get (Ndetect_suite.Registry.find name) in
+      let table =
+        Detection_table.build (Ndetect_suite.Registry.circuit entry)
+      in
+      let outcome =
+        Procedure1.run ~domains:1 table
+          {
+            Procedure1.seed = 1;
+            set_count = 1;
+            nmax = 10;
+            mode = Procedure1.Definition2;
+          }
+      in
+      Printf.bprintf buf "%s\nset %s\n" name
+        (ints (Procedure1.test_set outcome ~k:0));
+      for fi = 0 to Detection_table.target_count table - 1 do
+        Printf.bprintf buf "f%d %s\n" fi
+          (ints (Procedure1.chain_def2 outcome ~k:0 ~fi))
+      done)
+    [ "mark1"; "ex4" ];
+  Buffer.contents buf
+
+let test_def2_golden () =
+  Alcotest.(check string)
+    "md5 of mark1 + ex4 Definition 2 chains and sets" def2_golden_md5
+    (Digest.to_hex (Digest.string (def2_digest_input ())))
+
 let () =
   let modes =
     [ Procedure1.Definition1; Procedure1.Definition2; Procedure1.Multi_output ]
@@ -210,6 +249,8 @@ let () =
             test_def2_chain_regression;
           Alcotest.test_case "multi-output chains from replay" `Quick
             test_multi_output_chain_regression;
+          Alcotest.test_case "definition2 golden digest" `Slow
+            test_def2_golden;
         ] );
       ( "cone cache",
         [ Helpers.qcheck prop_cone_cache_transparent ] );

@@ -137,10 +137,13 @@ let test_detects_stuck_single_vector () =
       (Fault_sim.detects_stuck good faults.(0) ~vector:v)
   done
 
+let test_of_vector net v =
+  Array.map Ternary.of_bool (Eval.assignment_of_vector net v)
+
 let test_ternary_full_vectors_match_boolean () =
   let net = Example.circuit () in
   for v = 0 to 15 do
-    let tern = Ternary_sim.eval net (Ternary_sim.test_of_vector net v) in
+    let tern = Ternary_sim.eval net (test_of_vector net v) in
     let bools = Eval.eval_vector net v in
     Array.iteri
       (fun node b ->
@@ -179,9 +182,8 @@ let prop_ternary_detection_sound =
                for v1 = 0 to min 7 (universe - 1) do
                  for v2 = 0 to min 7 (universe - 1) do
                    let tij =
-                     Ternary_sim.common_test
-                       (Ternary_sim.test_of_vector net v1)
-                       (Ternary_sim.test_of_vector net v2)
+                     Array.map2 Ternary.common (test_of_vector net v1)
+                       (test_of_vector net v2)
                    in
                    if Ternary_sim.detects_stuck net fault tij then
                      (* Every completion consistent with tij detects. *)
@@ -205,34 +207,181 @@ let prop_ternary_detection_sound =
            faults;
          !ok))
 
-(* The cone-restricted 3-valued detection check agrees with the full
-   re-simulation for every fault and partially-specified test. *)
-let prop_ternary_cone_matches_full =
-  QCheck.Test.make ~name:"cone-restricted 3-valued detection == full"
-    ~count:25 Helpers.circuit_arbitrary
-    (Helpers.apply_circuit (fun net ->
-         let faults = Stuck.all net in
-         let universe = Netlist.universe_size net in
-         let ok = ref true in
-         Array.iter
-           (fun fault ->
-             let cone = Ternary_sim.stuck_cone net fault in
-             for v1 = 0 to min 5 (universe - 1) do
-               for v2 = 0 to min 5 (universe - 1) do
-                 let tij =
-                   Ternary_sim.common_test
-                     (Ternary_sim.test_of_vector net v1)
-                     (Ternary_sim.test_of_vector net v2)
-                 in
-                 let good = Ternary_sim.eval net tij in
-                 if
-                   Ternary_sim.detects_stuck_in_cone net fault cone ~good tij
-                   <> Ternary_sim.detects_stuck net fault tij
-                 then ok := false
-               done
-             done)
-           faults;
-         !ok))
+(* Two-rail word evaluation, by hand. Lane [j] of a word carries one
+   ternary input assignment; a gate's value in a lane is read back
+   through the detection query on its output stem: stuck-at-0 is
+   detected exactly where the fault-free value is 1, stuck-at-1 exactly
+   where it is 0, and neither where it is X. *)
+
+let set_lanes net rails assignments =
+  for i = 0 to Netlist.input_count net - 1 do
+    let zero = ref 0 and one = ref 0 in
+    List.iteri
+      (fun j (a : Ternary.t array) ->
+        match a.(i) with
+        | Ternary.Zero -> zero := !zero lor (1 lsl j)
+        | Ternary.One -> one := !one lor (1 lsl j)
+        | Ternary.X ->
+          zero := !zero lor (1 lsl j);
+          one := !one lor (1 lsl j))
+      assignments;
+    Ternary_sim.set_input rails i ~zero:!zero ~one:!one
+  done
+
+let detected_lanes net fault assignments =
+  let rails = Ternary_sim.rails net in
+  set_lanes net rails assignments;
+  let live = (1 lsl List.length assignments) - 1 in
+  let mask =
+    Ternary_sim.detects_stuck_words (Ternary_sim.stuck_words net fault) rails
+      ~live
+  in
+  List.init (List.length assignments) (fun j -> (mask lsr j) land 1 = 1)
+
+(* One gate of [kind] over [arity] primary inputs, observed directly.
+   A constant (arity 0) still gets one input: a netlist needs one. *)
+let word_values kind arity assignments =
+  let b = Netlist.Builder.create () in
+  let ins =
+    Array.init (max 1 arity) (fun i ->
+        Netlist.Builder.add_input b ~name:(Printf.sprintf "i%d" i))
+  in
+  let g =
+    Netlist.Builder.add_gate b ~kind ~fanins:(Array.sub ins 0 arity) ~name:"g"
+  in
+  Netlist.Builder.set_outputs b [| g |];
+  let net = Netlist.Builder.finalize b in
+  let sa value = { Stuck.line = Line.Stem g; value } in
+  let ones = detected_lanes net (sa false) assignments in
+  let zeros = detected_lanes net (sa true) assignments in
+  List.map2
+    (fun one zero ->
+      match one, zero with
+      | true, false -> Ternary.One
+      | false, true -> Ternary.Zero
+      | false, false -> Ternary.X
+      | true, true -> Alcotest.fail "lane both 0 and 1")
+    ones zeros
+
+let tern s = Array.init (String.length s) (fun i -> Ternary.of_char s.[i])
+let tern_string vs = String.of_seq (List.to_seq (List.map Ternary.to_char vs))
+
+let test_two_rail_hand_values () =
+  let check kind arity cases =
+    let inputs = List.map (fun (i, _) -> tern i) cases in
+    let expected = String.concat "" (List.map snd cases) in
+    Alcotest.(check string)
+      (Gate.to_string kind ^ " " ^ String.concat "," (List.map fst cases))
+      expected
+      (tern_string (word_values kind arity inputs))
+  in
+  check Gate.And 2
+    [ ("0-", "0"); ("-0", "0"); ("1-", "-"); ("--", "-"); ("11", "1") ];
+  check Gate.Nand 2
+    [ ("0-", "1"); ("1-", "-"); ("--", "-"); ("11", "0"); ("10", "1") ];
+  check Gate.Or 2
+    [ ("1-", "1"); ("-1", "1"); ("0-", "-"); ("--", "-"); ("00", "0") ];
+  check Gate.Nor 2
+    [ ("1-", "0"); ("0-", "-"); ("--", "-"); ("00", "1"); ("01", "0") ];
+  check Gate.Xor 2
+    [ ("0-", "-"); ("1-", "-"); ("01", "1"); ("11", "0"); ("00", "0") ];
+  check Gate.Xnor 2
+    [ ("-1", "-"); ("01", "0"); ("11", "1"); ("00", "1") ];
+  check Gate.Xor 3
+    [ ("111", "1"); ("110", "0"); ("100", "1"); ("000", "0"); ("11-", "-") ];
+  check Gate.Xnor 3
+    [ ("111", "0"); ("110", "1"); ("100", "0"); ("-00", "-") ];
+  check Gate.Xor 4 [ ("1111", "0"); ("1110", "1"); ("1-11", "-") ];
+  check Gate.And 3 [ ("11-", "-"); ("1-0", "0"); ("111", "1") ];
+  check Gate.Not 1 [ ("0", "1"); ("1", "0"); ("-", "-") ];
+  check Gate.Buf 1 [ ("0", "0"); ("1", "1"); ("-", "-") ];
+  check Gate.Const0 0 [ ("0", "0"); ("-", "0") ];
+  check Gate.Const1 0 [ ("1", "1"); ("-", "1") ]
+
+(* Every gate kind, every ternary input combination of arity 1..3 in
+   one word each: the rails agree with the scalar Kleene evaluation. *)
+let test_two_rail_matches_kleene () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun arity ->
+          if Gate.arity_ok kind arity then begin
+            let values = [| Ternary.Zero; Ternary.One; Ternary.X |] in
+            let count = int_of_float (3. ** float_of_int arity) in
+            let inputs =
+              List.init count (fun c ->
+                  Array.init arity (fun i ->
+                      values.(c / int_of_float (3. ** float_of_int i) mod 3)))
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%d" (Gate.to_string kind) arity)
+              (tern_string (List.map (Gate.eval_ternary kind) inputs))
+              (tern_string (word_values kind arity inputs))
+          end)
+        [ 1; 2; 3 ])
+    [ Gate.Buf; Gate.Not; Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor;
+      Gate.Xnor ]
+
+(* On random circuits, every fault, a full word of random partially
+   specified tests: the word verdict equals the scalar one lane by lane
+   (the word pass covers only the fault's cone and its outputs' fanin
+   support; the scalar pass the whole circuit). *)
+let prop_two_rail_matches_scalar =
+  QCheck.Test.make ~name:"two-rail word detection == scalar, lane by lane"
+    ~count:25
+    QCheck.(pair Helpers.circuit_arbitrary (int_bound 1_000_000))
+    (fun (circuit, draw) ->
+      let net = Helpers.apply_circuit Fun.id circuit in
+      let rng = Random.State.make [| draw |] in
+      let values = [| Ternary.Zero; Ternary.One; Ternary.X |] in
+      let tests =
+        List.init Ndetect_logic.Word.width (fun _ ->
+            Array.init (Netlist.input_count net) (fun _ ->
+                values.(Random.State.int rng 3)))
+      in
+      Array.for_all
+        (fun fault ->
+          detected_lanes net fault tests
+          = List.map (Ternary_sim.detects_stuck net fault) tests)
+        (Stuck.all net))
+
+(* A branch fault on pin 2 of a 3-input AND, whose stem also feeds an
+   observed OR, and a stem fault on a primary input: lane by lane the
+   word verdict matches the scalar one, and the hand-derived value. *)
+let test_two_rail_fault_sites () =
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_input b ~name:"a" in
+  let bb = Netlist.Builder.add_input b ~name:"b" in
+  let c = Netlist.Builder.add_input b ~name:"c" in
+  let g =
+    Netlist.Builder.add_gate b ~kind:Gate.And ~fanins:[| a; bb; c |] ~name:"g"
+  in
+  let h = Netlist.Builder.add_gate b ~kind:Gate.Or ~fanins:[| c; a |] ~name:"h" in
+  Netlist.Builder.set_outputs b [| g; h |];
+  let net = Netlist.Builder.finalize b in
+  let check name fault cases =
+    let inputs = List.map (fun (i, _) -> tern i) cases in
+    let got = detected_lanes net fault inputs in
+    List.iteri
+      (fun j ((i, expected), lane) ->
+        Alcotest.(check bool) (Printf.sprintf "%s %s" name i) expected lane;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s = scalar" name i)
+          (Ternary_sim.detects_stuck net fault (List.nth inputs j))
+          lane)
+      (List.combine cases got)
+  in
+  check "branch g.2 s-a-0"
+    { Stuck.line = Line.Branch { gate = g; pin = 2 }; value = false }
+    [ ("111", true); ("11-", false); ("1-1", false); ("011", false);
+      ("110", false) ];
+  check "branch g.2 s-a-1"
+    { Stuck.line = Line.Branch { gate = g; pin = 2 }; value = true }
+    [ ("110", true); ("111", false); ("11-", false); ("010", false) ];
+  check "stem a s-a-1"
+    { Stuck.line = Line.Stem a; value = true }
+    [ ("010", true); ("000", true); ("0-0", true); ("0-1", false);
+      ("011", true); ("-11", false); ("110", false) ]
 
 let test_naive_branch_fault_localized () =
   (* A branch fault affects only its consuming pin: on the example, the
@@ -380,6 +529,12 @@ let () =
           Alcotest.test_case "partial detection" `Quick
             test_ternary_partial_detection;
           Helpers.qcheck prop_ternary_detection_sound;
-          Helpers.qcheck prop_ternary_cone_matches_full;
+          Alcotest.test_case "two-rail hand values" `Quick
+            test_two_rail_hand_values;
+          Alcotest.test_case "two-rail matches Kleene" `Quick
+            test_two_rail_matches_kleene;
+          Alcotest.test_case "two-rail fault sites" `Quick
+            test_two_rail_fault_sites;
+          Helpers.qcheck prop_two_rail_matches_scalar;
         ] );
     ]
