@@ -1,8 +1,9 @@
 (* ndetect: command-line interface to the n-detection analysis library.
 
-   Subcommands: list, analyze, average, atpg, tables, check, synth,
-   dot, evaluate, partition, transition, equiv, scoap, campaign,
-   worker. *)
+   Subcommands: list, analyze, average, atpg, reproduce, check, synth,
+   dot, evaluate, partition, transition, equiv, scoap, campaign, worker,
+   serve, client. The analysis flags are defined once, in
+   {!Ndetect_harness.Cli}; every usage error exits 2. *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Dot = Ndetect_circuit.Dot
@@ -22,6 +23,7 @@ module Paper_tables = Ndetect_report.Paper_tables
 module Ascii_table = Ndetect_report.Ascii_table
 module Ndet_atpg = Ndetect_tgen.Ndet_atpg
 module Driver = Ndetect_harness.Driver
+module Cli = Ndetect_harness.Cli
 module Api = Ndetect_harness.Api
 module Rpc = Ndetect_harness.Rpc
 module Serve = Ndetect_harness.Serve
@@ -42,29 +44,33 @@ open Cmdliner
 let load_circuit ?scheme spec =
   Api.load_source ?scheme (Api.source_of_spec spec)
 
-let circuit_arg =
-  let doc =
-    "Circuit to analyze: a suite benchmark name (see $(b,ndetect list)) or \
-     a netlist/FSM file (.bench, .kiss2, .pla, .blif)."
-  in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
+(* Exit statuses for the man pages: every subcommand exits 2 on a usage
+   error (cmdliner's parse and term errors are remapped at [main]). *)
+let exits extra =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:"when the command fails, for example on a circuit it cannot load.";
+    Cmd.Exit.info 2
+      ~doc:
+        "on a usage error: an unknown flag, a missing or malformed value, \
+         or contradictory flags.";
+  ]
+  @ extra
+  @ [
+      Cmd.Exit.info Cmd.Exit.internal_error
+        ~doc:"on an unexpected internal error.";
+    ]
 
-let scheme_arg =
-  let parse s =
-    match Encode.of_string s with
-    | Some scheme -> Ok scheme
-    | None -> Error (`Msg (Printf.sprintf "unknown encoding %s" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (Encode.to_string s) in
-  let scheme_conv = Arg.conv (parse, print) in
-  Arg.(
-    value
-    & opt scheme_conv Encode.Binary
-    & info [ "encoding" ] ~docv:"SCHEME"
-        ~doc:"State encoding: binary, gray or one-hot.")
+let unit_failure =
+  Cmd.Exit.info 3
+    ~doc:"when some supervised unit timed out or crashed (its row says so)."
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
+let sigterm_exit =
+  Cmd.Exit.info Supervise.sigterm_exit_code
+    ~doc:
+      "when SIGTERM cut the run short (finished work is kept; rerun to \
+       resume)."
 
 (* list *)
 
@@ -99,171 +105,35 @@ let list_cmd =
          rows)
   in
   let doc = "List the embedded benchmark suite." in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "list" ~doc ~exits:(exits [])) Term.(const run $ const ())
 
-(* analyze / average: both subcommands build a driver-grammar argument
-   list, parse it through [Driver.parse_args_result], lower the options
-   onto an [Api.Request.t] and funnel through [Api.run] — one validated
-   grammar and one execution path, shared with bin/reproduce and the
-   serve daemon (whose answers are byte-identical by construction). *)
+(* analyze / average: the Cli term builds the request and [Api.run]
+   executes it — the execution path the serve daemon shares, so its
+   answers are byte-identical by construction. *)
 
-let opt_args flag = function None -> [] | Some v -> [ flag; v ]
-
-let api_run_exit ~spec ~scheme ~nmax args =
-  match Driver.parse_args_result args with
+let api_run req =
+  match Api.run req with
   | Error message ->
     prerr_endline message;
-    exit 2
-  | Ok opts -> (
-    match
-      Driver.Options.to_request ~scheme opts
-        ~source:(Api.source_of_spec spec) ~label:spec
-    with
-    | Error message ->
-      prerr_endline message;
-      exit 2
-    | Ok req -> (
-      match Api.run { req with Api.Request.nmax } with
-      | Error message ->
-        prerr_endline message;
-        exit 1
-      | Ok resp ->
-        print_string (Api.Response.render resp);
-        if resp.Api.Response.failures <> [] then exit 3))
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "timeout" ] ~docv:"SECS"
-        ~doc:"Wall-clock budget per supervised unit.")
-
-let table_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "table-cache" ] ~docv:"DIR"
-        ~doc:"Detection-table cache directory.")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N" ~doc:"Procedure-1 worker domains.")
-
-let kernel_backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "kernel-backend" ] ~docv:"NAME"
-        ~doc:"Intersection kernel backend (swar or c).")
-
-let sim_strategy_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "sim-strategy" ] ~docv:"NAME"
-        ~doc:"Fault-simulation strategy (cone or stem).")
-
-(* Sampled-universe mode, shared by analyze/average/campaign/client.
-   The values always round-trip through [Driver.parse_args_result] (or
-   [Driver.Options.universe] for the client), so the validation rules
-   live in exactly one place. *)
-let samples_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "samples" ] ~docv:"N"
-        ~doc:
-          "Estimate from N stratified random vectors (with confidence \
-           intervals) instead of enumerating all 2^PI.")
-
-let strata_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "strata" ] ~docv:"N"
-        ~doc:"Sampling strata (requires --samples; default 16).")
-
-let confidence_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "confidence" ] ~docv:"P"
-        ~doc:
-          "Interval confidence, strictly between 0 and 1 (requires \
-           --samples; default 0.95).")
-
-let sample_args samples strata confidence =
-  opt_args "--samples" (Option.map string_of_int samples)
-  @ opt_args "--strata" (Option.map string_of_int strata)
-  @ opt_args "--confidence" (Option.map (Printf.sprintf "%.17g") confidence)
-
-let analyze_run spec scheme timeout cache_dir domains kernel sim samples
-    strata confidence =
-  api_run_exit ~spec ~scheme ~nmax:10
-    ([ "--only"; "table2" ]
-    @ opt_args "--timeout-per-circuit"
-        (Option.map (Printf.sprintf "%g") timeout)
-    @ opt_args "--table-cache" cache_dir
-    @ opt_args "--domains" (Option.map string_of_int domains)
-    @ opt_args "--kernel-backend" kernel
-    @ opt_args "--sim-strategy" sim
-    @ sample_args samples strata confidence)
+    exit 1
+  | Ok resp ->
+    print_string (Api.Response.render resp);
+    if resp.Api.Response.failures <> [] then exit 3
 
 let analyze_cmd =
   let doc = "Worst-case analysis: guaranteed bridging-fault coverage vs n." in
   Cmd.v
-    (Cmd.info "analyze" ~doc)
-    Term.(
-      const analyze_run $ circuit_arg $ scheme_arg $ timeout_arg
-      $ table_cache_arg $ domains_arg $ kernel_backend_arg
-      $ sim_strategy_arg $ samples_arg $ strata_arg $ confidence_arg)
-
-(* average *)
-
-let average_run spec scheme k nmax def2 seed timeout cache_dir domains
-    samples strata confidence =
-  api_run_exit ~spec ~scheme ~nmax
-    ([ "--only"; (if def2 then "table6" else "table5"); "--seed";
-       string_of_int seed ]
-    @ (if def2 then [ "--k2"; string_of_int k ]
-       else [ "--k"; string_of_int k ])
-    @ opt_args "--timeout-per-circuit"
-        (Option.map (Printf.sprintf "%g") timeout)
-    @ opt_args "--table-cache" cache_dir
-    @ opt_args "--domains" (Option.map string_of_int domains)
-    @ sample_args samples strata confidence)
+    (Cmd.info "analyze" ~doc ~exits:(exits [ unit_failure ]))
+    Term.(const api_run $ Cli.analyze)
 
 let average_cmd =
-  let k =
-    Arg.(
-      value & opt int 1000
-      & info [ "k"; "sets" ] ~docv:"K" ~doc:"Number of random test sets.")
-  in
-  let nmax =
-    Arg.(
-      value & opt int 10
-      & info [ "nmax" ] ~docv:"N" ~doc:"Largest number of detections.")
-  in
-  let def2 =
-    Arg.(
-      value & flag
-      & info [ "def2" ]
-          ~doc:
-            "Compare Definition 1 against Definition 2 \
-             (pairwise-different tests).")
-  in
   let doc =
     "Average-case analysis: probability that an arbitrary n-detection test \
      set detects each hard fault (Procedure 1)."
   in
   Cmd.v
-    (Cmd.info "average" ~doc)
-    Term.(
-      const average_run $ circuit_arg $ scheme_arg $ k $ nmax $ def2
-      $ seed_arg $ timeout_arg $ table_cache_arg $ domains_arg
-      $ samples_arg $ strata_arg $ confidence_arg)
+    (Cmd.info "average" ~doc ~exits:(exits [ unit_failure ]))
+    Term.(const api_run $ Cli.average)
 
 (* atpg *)
 
@@ -296,8 +166,8 @@ let atpg_cmd =
   in
   let doc = "Generate an n-detection test set with PODEM." in
   Cmd.v
-    (Cmd.info "atpg" ~doc)
-    Term.(const atpg_run $ circuit_arg $ scheme_arg $ n $ seed_arg)
+    (Cmd.info "atpg" ~doc ~exits:(exits []))
+    Term.(const atpg_run $ Cli.circuit $ Cli.scheme $ n $ Cli.seed)
 
 (* evaluate *)
 
@@ -410,9 +280,9 @@ let evaluate_cmd =
      exhaustive analysis."
   in
   Cmd.v
-    (Cmd.info "evaluate" ~doc)
+    (Cmd.info "evaluate" ~doc ~exits:(exits []))
     Term.(
-      const evaluate_run $ circuit_arg $ scheme_arg $ vectors_path $ n $ def2)
+      const evaluate_run $ Cli.circuit $ Cli.scheme $ vectors_path $ n $ def2)
 
 (* partition *)
 
@@ -455,8 +325,8 @@ let partition_cmd =
      per block (the paper's Section 4 recipe for large designs)."
   in
   Cmd.v
-    (Cmd.info "partition" ~doc)
-    Term.(const partition_run $ circuit_arg $ scheme_arg $ max_inputs)
+    (Cmd.info "partition" ~doc ~exits:(exits []))
+    Term.(const partition_run $ Cli.circuit $ Cli.scheme $ max_inputs)
 
 (* equiv *)
 
@@ -483,8 +353,8 @@ let equiv_cmd =
   in
   let doc = "Exhaustive combinational equivalence check of two circuits." in
   Cmd.v
-    (Cmd.info "equiv" ~doc)
-    Term.(const equiv_run $ circuit_arg $ spec2 $ scheme_arg)
+    (Cmd.info "equiv" ~doc ~exits:(exits []))
+    Term.(const equiv_run $ Cli.circuit $ spec2 $ Cli.scheme)
 
 (* scoap *)
 
@@ -534,8 +404,8 @@ let scoap_cmd =
   in
   let doc = "SCOAP controllability/observability report." in
   Cmd.v
-    (Cmd.info "scoap" ~doc)
-    Term.(const scoap_run $ circuit_arg $ scheme_arg $ worst)
+    (Cmd.info "scoap" ~doc ~exits:(exits []))
+    Term.(const scoap_run $ Cli.circuit $ Cli.scheme $ worst)
 
 (* transition *)
 
@@ -582,51 +452,42 @@ let transition_cmd =
      targets."
   in
   Cmd.v
-    (Cmd.info "transition" ~doc)
-    Term.(const transition_run $ circuit_arg $ scheme_arg)
+    (Cmd.info "transition" ~doc ~exits:(exits []))
+    Term.(const transition_run $ Cli.circuit $ Cli.scheme)
 
-(* tables *)
+(* reproduce *)
 
-let tables_run tier k k2 seed only quiet =
-  let tier =
-    match String.lowercase_ascii tier with
-    | "small" -> Registry.Small
-    | "medium" -> Registry.Medium
-    | "large" -> Registry.Large
-    | other ->
-      prerr_endline ("unknown tier " ^ other);
-      exit 2
-  in
-  Driver.run_all
-    (Driver.create (Driver.Options.make ~tier ~k ~k2 ~seed ~only ~quiet ()))
+let reproduce_run options =
+  match Driver.create options with
+  | exception Failure message ->
+    prerr_endline message;
+    exit 2
+  | driver ->
+    (* On SIGTERM the in-flight supervised unit unwinds at its next poll
+       point and every remaining unit returns Skipped; finished units
+       were checkpointed atomically as they completed, so there is
+       nothing else to flush. *)
+    Supervise.install_sigterm ();
+    Driver.run_all driver;
+    if Supervise.terminating () then exit Supervise.sigterm_exit_code;
+    if Driver.failures driver <> [] then exit 3
 
-let tables_cmd =
-  let tier =
-    Arg.(
-      value & opt string "medium"
-      & info [ "tier" ] ~docv:"TIER" ~doc:"small, medium or large.")
+let reproduce_cmd =
+  let doc = "Reproduce the paper's tables and figures on the embedded suite." in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Defaults are sized so a medium-tier run finishes in about a minute; \
+         pass $(b,--tier large -k 10000 --k2 1000) for the paper-scale \
+         experiment.";
+    ]
   in
-  let k =
-    Arg.(
-      value & opt int 1000 & info [ "k"; "sets" ] ~docv:"K" ~doc:"Sets for Table 5.")
-  in
-  let k2 =
-    Arg.(
-      value & opt int 200 & info [ "k2" ] ~docv:"K" ~doc:"Sets for Table 6.")
-  in
-  let only =
-    Arg.(
-      value & opt string "all"
-      & info [ "only" ] ~docv:"WHAT"
-          ~doc:"One of table1..table6, figure2, or all.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress timing lines.")
-  in
-  let doc = "Reproduce the paper's tables and figures." in
   Cmd.v
-    (Cmd.info "tables" ~doc)
-    Term.(const tables_run $ tier $ k $ k2 $ seed_arg $ only $ quiet)
+    (Cmd.info "reproduce" ~doc ~man
+       ~exits:
+         (exits [ unit_failure; sigterm_exit ]))
+    Term.(const reproduce_run $ Cli.reproduce)
 
 (* check *)
 
@@ -721,9 +582,9 @@ let check_cmd =
      shrink any divergence to a minimal reproducer."
   in
   Cmd.v
-    (Cmd.info "check" ~doc)
+    (Cmd.info "check" ~doc ~exits:(exits []))
     Term.(
-      const check_run $ circuits $ seed_arg $ max_pi $ mutate $ estimate
+      const check_run $ circuits $ Cli.seed $ max_pi $ mutate $ estimate
       $ samples $ confidence)
 
 (* synth *)
@@ -776,8 +637,8 @@ let synth_cmd =
   in
   let doc = "Synthesize an FSM's combinational logic to a netlist." in
   Cmd.v
-    (Cmd.info "synth" ~doc)
-    Term.(const synth_run $ file $ scheme_arg $ out $ format)
+    (Cmd.info "synth" ~doc ~exits:(exits []))
+    Term.(const synth_run $ file $ Cli.scheme $ out $ format)
 
 (* dot *)
 
@@ -802,185 +663,80 @@ let dot_cmd =
   in
   let doc = "Export a circuit as Graphviz DOT." in
   Cmd.v
-    (Cmd.info "dot" ~doc)
-    Term.(const dot_run $ circuit_arg $ scheme_arg $ out)
+    (Cmd.info "dot" ~doc ~exits:(exits []))
+    Term.(const dot_run $ Cli.circuit $ Cli.scheme $ out)
 
 (* campaign / worker *)
 
-(* The campaign flags funnel through [Driver.parse_args_result] so the
-   CLI and the reproduction driver share one validated grammar (worker
-   and lease bounds, the chaos/workers cross-check, injection specs). *)
-let campaign_run tier k seed nmax fault_block set_chunk circuits workers
-    lease_secs max_unit_retries chaos ledger inject quiet max_wall samples
-    strata confidence =
-  let args =
-    [
-      "--tier"; tier; "--k"; string_of_int k; "--seed"; string_of_int seed;
-      "--workers"; string_of_int workers; "--lease-secs";
-      Printf.sprintf "%g" lease_secs; "--max-unit-retries";
-      string_of_int max_unit_retries; "--ledger"; ledger;
-    ]
-    @ (if chaos then [ "--chaos" ] else [])
-    @ (match inject with Some s -> [ "--inject"; s ] | None -> [])
-    @ sample_args samples strata confidence
+let campaign_run (c : Cli.campaign) =
+  Option.iter
+    (fun spec ->
+      Result.iter Supervise.set_injection (Supervise.parse_injection_spec spec))
+    c.inject;
+  let campaign =
+    let samples, strata, confidence =
+      match c.universe with
+      | Api.Request.Exhaustive -> (None, None, None)
+      | Api.Request.Sampled spec ->
+        ( Some spec.Api.Estimate.Spec.samples,
+          Some spec.Api.Estimate.Spec.strata,
+          Some spec.Api.Estimate.Spec.confidence )
+    in
+    try
+      Shard_spec.make_campaign ~fault_block:c.fault_block ?set_chunk:c.set_chunk
+        ?circuits:c.circuits ~nmax:c.nmax ?samples ?strata ?confidence
+        ~tier:c.tier ~seed:c.seed ~set_count:c.set_count ()
+    with Invalid_argument message ->
+      prerr_endline message;
+      exit 2
   in
-  match Driver.parse_args_result args with
+  let base = Coordinator.default_config ~ledger_dir:c.ledger in
+  let config =
+    {
+      base with
+      Coordinator.workers = c.workers;
+      lease_secs =
+        Option.value c.lease_secs ~default:Shard_worker.default_lease_secs;
+      max_unit_retries = c.max_unit_retries;
+      chaos = c.chaos;
+      chaos_seed = c.seed;
+      inject = c.inject;
+      max_wall_secs = c.max_wall_secs;
+      log = (if c.quiet then fun _ -> () else base.Coordinator.log);
+    }
+  in
+  match Coordinator.run config campaign with
+  | Ok outcome ->
+    print_string outcome.Coordinator.report;
+    Printf.eprintf
+      "campaign counters: reassigned=%d speculative_wins=%d poisoned=%d \
+       ledger_corrupt=%d spawn_failures=%d chaos_kills=%d \
+       workers_spawned=%d\n%!"
+      outcome.Coordinator.reassigned outcome.Coordinator.speculative_wins
+      outcome.Coordinator.poisoned_count outcome.Coordinator.ledger_corrupt
+      outcome.Coordinator.spawn_failures outcome.Coordinator.chaos_kills
+      outcome.Coordinator.workers_spawned;
+    if outcome.Coordinator.poisoned_units <> [] then exit 3
   | Error message ->
-    prerr_endline message;
-    exit 2
-  | Ok opts ->
-    (match opts.Driver.inject with
-    | None -> ()
-    | Some spec -> (
-      match Supervise.parse_injection_spec spec with
-      | Ok plan -> Supervise.set_injection plan
-      | Error message ->
-        prerr_endline message;
-        exit 2));
-    let campaign =
-      try
-        Shard_spec.make_campaign ~fault_block
-          ?set_chunk:(if set_chunk > 0 then Some set_chunk else None)
-          ?circuits:
-            (match circuits with
-            | None -> None
-            | Some names ->
-              Some (String.split_on_char ',' names |> List.map String.trim))
-          ~nmax ?samples:opts.Driver.samples ?strata:opts.Driver.strata
-          ?confidence:opts.Driver.confidence ~tier:opts.Driver.tier
-          ~seed:opts.Driver.seed ~set_count:opts.Driver.k ()
-      with Invalid_argument message ->
-        prerr_endline message;
-        exit 2
-    in
-    let base = Coordinator.default_config ~ledger_dir:ledger in
-    let config =
-      {
-        base with
-        Coordinator.workers = Option.value opts.Driver.workers ~default:2;
-        lease_secs =
-          Option.value opts.Driver.lease_secs
-            ~default:Shard_worker.default_lease_secs;
-        max_unit_retries = Option.value opts.Driver.max_unit_retries ~default:3;
-        chaos = opts.Driver.chaos;
-        chaos_seed = opts.Driver.seed;
-        inject = opts.Driver.inject;
-        max_wall_secs = max_wall;
-        log = (if quiet then fun _ -> () else base.Coordinator.log);
-      }
-    in
-    (match Coordinator.run config campaign with
-    | Ok outcome ->
-      print_string outcome.Coordinator.report;
-      Printf.eprintf
-        "campaign counters: reassigned=%d speculative_wins=%d poisoned=%d \
-         ledger_corrupt=%d spawn_failures=%d chaos_kills=%d \
-         workers_spawned=%d\n%!"
-        outcome.Coordinator.reassigned outcome.Coordinator.speculative_wins
-        outcome.Coordinator.poisoned_count outcome.Coordinator.ledger_corrupt
-        outcome.Coordinator.spawn_failures outcome.Coordinator.chaos_kills
-        outcome.Coordinator.workers_spawned;
-      if outcome.Coordinator.poisoned_units <> [] then exit 3
-    | Error message ->
-      prerr_endline ("campaign: " ^ message);
-      if Supervise.terminating () then exit Supervise.sigterm_exit_code
-      else exit 1)
+    prerr_endline ("campaign: " ^ message);
+    if Supervise.terminating () then exit Supervise.sigterm_exit_code
+    else exit 1
 
 let campaign_cmd =
-  let tier =
-    Arg.(
-      value & opt string "medium"
-      & info [ "tier" ] ~docv:"TIER" ~doc:"small, medium or large.")
-  in
-  let k =
-    Arg.(
-      value & opt int 1000
-      & info [ "k"; "sets" ] ~docv:"K" ~doc:"Procedure-1 test sets.")
-  in
-  let nmax =
-    Arg.(
-      value & opt int 10
-      & info [ "nmax" ] ~docv:"N" ~doc:"Largest number of detections.")
-  in
-  let fault_block =
-    Arg.(
-      value & opt int 256
-      & info [ "fault-block" ] ~docv:"N"
-          ~doc:"Untargeted faults per worst-case work unit.")
-  in
-  let set_chunk =
-    Arg.(
-      value & opt int 0
-      & info [ "set-chunk" ] ~docv:"N"
-          ~doc:"Test sets per average-case work unit (0 = K/8).")
-  in
-  let circuits =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "circuits" ] ~docv:"NAMES"
-          ~doc:"Comma-separated subset of the tier's circuits.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker subprocesses (>= 1).")
-  in
-  let lease_secs =
-    Arg.(
-      value & opt float Shard_worker.default_lease_secs
-      & info [ "lease-secs" ] ~docv:"SECS"
-          ~doc:"Heartbeat lease before a worker is presumed dead.")
-  in
-  let max_unit_retries =
-    Arg.(
-      value & opt int 3
-      & info [ "max-unit-retries" ] ~docv:"N"
-          ~doc:"Failed attempts before a unit is poisoned.")
-  in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Chaos mode: randomly SIGKILL and stall workers mid-campaign. \
-             The merged report must stay byte-identical.")
-  in
-  let ledger =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"DIR" ~doc:"Work-ledger directory.")
-  in
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"SPEC"
-          ~doc:"Fault-injection plan, forwarded to every worker.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines.")
-  in
-  let max_wall =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-wall-secs" ] ~docv:"SECS"
-          ~doc:"Abort (resumably) past this wall-clock budget.")
-  in
   let doc =
     "Fault-tolerant sharded reproduction: decompose the suite into \
      ledger work units, farm them to supervised worker subprocesses, \
      and merge a report byte-identical to a single-process run."
   in
   Cmd.v
-    (Cmd.info "campaign" ~doc)
-    Term.(
-      const campaign_run $ tier $ k $ seed_arg $ nmax $ fault_block
-      $ set_chunk $ circuits $ workers $ lease_secs $ max_unit_retries
-      $ chaos $ ledger $ inject $ quiet $ max_wall $ samples_arg
-      $ strata_arg $ confidence_arg)
+    (Cmd.info "campaign" ~doc
+       ~exits:
+         (exits
+            [
+              Cmd.Exit.info 3 ~doc:"when some work unit was poisoned.";
+              sigterm_exit;
+            ]))
+    Term.(const campaign_run $ Cli.campaign)
 
 let worker_run ledger worker_id lease_secs inject =
   (match inject with
@@ -1023,7 +779,7 @@ let worker_cmd =
      campaign drains."
   in
   Cmd.v
-    (Cmd.info "worker" ~doc)
+    (Cmd.info "worker" ~doc ~exits:(exits []))
     Term.(const worker_run $ ledger $ worker_id $ lease_secs $ inject)
 
 (* serve / client *)
@@ -1111,7 +867,7 @@ let serve_cmd =
      and exits 0."
   in
   Cmd.v
-    (Cmd.info "serve" ~doc)
+    (Cmd.info "serve" ~doc ~exits:(exits []))
     Term.(
       const serve_run $ socket_arg $ cache_dir $ queue $ resident_mb $ trace
       $ quiet $ inject)
@@ -1179,8 +935,7 @@ let read_result ic =
 (* A .bench file is shipped inline (the daemon need not share a
    filesystem with the client); suite names and the formats needing
    synthesis resolve server-side. *)
-let client_source spec =
-  match Api.source_of_spec spec with
+let client_source = function
   | Api.Request.File path
     when Sys.file_exists path
          && not
@@ -1193,8 +948,7 @@ let client_source spec =
     Api.Request.Inline_bench text
   | source -> source
 
-let client_run socket stats spec sections k k2 nmax seed deadline domains
-    count trace samples strata confidence =
+let client_run socket stats req count trace =
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX socket) with
@@ -1233,39 +987,13 @@ let client_run socket stats spec sections k k2 nmax seed deadline domains
         exit 1)
   end
   else begin
-    let spec =
-      match spec with
-      | Some s -> s
+    let req =
+      match req with
+      | Some req ->
+        { req with Api.Request.source = client_source req.Api.Request.source }
       | None ->
         prerr_endline "client: a CIRCUIT argument is required (or --stats)";
         exit 2
-    in
-    let sections =
-      List.map
-        (fun name ->
-          match Api.Request.section_of_name (String.trim name) with
-          | Some s -> s
-          | None ->
-            Printf.eprintf
-              "unknown section %s (worst, average or average_def2)\n" name;
-            exit 2)
-        (String.split_on_char ',' sections)
-    in
-    let universe =
-      (* Same validation as the local CLI: the three flags lower through
-         the driver's universe rule. *)
-      match
-        Driver.Options.universe
-          (Driver.Options.make ?samples ?strata ?confidence ())
-      with
-      | Ok u -> u
-      | Error message ->
-        prerr_endline message;
-        exit 2
-    in
-    let req =
-      Api.Request.make ~sections ~k ~k2 ~nmax ~seed ?deadline ?domains
-        ~universe ~label:spec (client_source spec)
     in
     let rj = Api.Request.to_json req in
     (* All requests go out before any response is read, so --count 2
@@ -1326,52 +1054,6 @@ let client_cmd =
       & info [ "stats" ]
           ~doc:"Print the daemon's counters instead of sending a request.")
   in
-  let spec =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT"
-          ~doc:
-            "Suite benchmark name or netlist file (.bench content is \
-             shipped inline).")
-  in
-  let sections =
-    Arg.(
-      value & opt string "worst"
-      & info [ "sections" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated sections: worst, average, average_def2.")
-  in
-  let k =
-    Arg.(
-      value & opt int 1000
-      & info [ "k"; "sets" ] ~docv:"K" ~doc:"Test sets for average.")
-  in
-  let k2 =
-    Arg.(
-      value & opt int 200
-      & info [ "k2" ] ~docv:"K" ~doc:"Test sets for average_def2.")
-  in
-  let nmax =
-    Arg.(
-      value & opt int 10
-      & info [ "nmax" ] ~docv:"N" ~doc:"Largest number of detections.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:
-            "Per-request budget, counted from admission (queue time \
-             included).")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N" ~doc:"Procedure-1 worker domains.")
-  in
   let count =
     Arg.(
       value & opt int 1
@@ -1395,11 +1077,8 @@ let client_cmd =
      the same request)."
   in
   Cmd.v
-    (Cmd.info "client" ~doc)
-    Term.(
-      const client_run $ socket_arg $ stats $ spec $ sections $ k $ k2
-      $ nmax $ seed_arg $ deadline $ domains $ count $ trace $ samples_arg
-      $ strata_arg $ confidence_arg)
+    (Cmd.info "client" ~doc ~exits:(exits [ unit_failure ]))
+    Term.(const client_run $ socket_arg $ stats $ Cli.client $ count $ trace)
 
 let main_cmd =
   let doc =
@@ -1407,11 +1086,16 @@ let main_cmd =
      (Pomeranz & Reddy, DATE 2005)"
   in
   Cmd.group
-    (Cmd.info "ndetect" ~version:"1.0.0" ~doc)
+    (Cmd.info "ndetect" ~version:"1.0.0" ~doc ~exits:(exits []))
     [
-      list_cmd; analyze_cmd; average_cmd; atpg_cmd; tables_cmd; check_cmd;
+      list_cmd; analyze_cmd; average_cmd; atpg_cmd; reproduce_cmd; check_cmd;
       synth_cmd; dot_cmd; evaluate_cmd; partition_cmd; transition_cmd;
       equiv_cmd; scoap_cmd; campaign_cmd; worker_cmd; serve_cmd; client_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+let () =
+  exit
+    (match Cmd.eval_value ~argv:(Cli.argv Sys.argv) main_cmd with
+    | Ok (`Ok () | `Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

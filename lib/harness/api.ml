@@ -61,6 +61,33 @@ module Request = struct
       deadline;
     }
 
+  let validate t =
+    let at_least_one name n =
+      if n < 1 then Error (Printf.sprintf "%s must be >= 1, got %d" name n)
+      else Ok ()
+    in
+    let ( let* ) = Result.bind in
+    let* () = at_least_one "k" t.k in
+    let* () = at_least_one "k2" t.k2 in
+    let* () = at_least_one "nmax" t.nmax in
+    let* () =
+      Option.fold ~none:(Ok ()) ~some:(at_least_one "domains") t.domains
+    in
+    let* () =
+      match t.deadline with
+      | Some d when not (d > 0.0) ->
+        Error
+          (Printf.sprintf
+             "deadline must be a positive number of seconds, got %g" d)
+      | Some _ | None -> Ok ()
+    in
+    match t.universe with
+    | Exhaustive -> Ok t
+    | Sampled spec -> (
+      match Estimate.Spec.validate spec with
+      | Ok _ -> Ok t
+      | Error msg -> Error ("universe: " ^ msg))
+
   let section_name = function
     | Worst -> "worst"
     | Average -> "average"
@@ -194,9 +221,8 @@ module Request = struct
       | Some Rpc.Null | None -> Ok None
       | Some v -> (
         match Rpc.to_int v with
-        | Some n when n >= 1 -> Ok (Some n)
-        | Some _ | None ->
-          Error "request field \"domains\" must be an integer >= 1")
+        | Some n -> Ok (Some n)
+        | None -> Error "request field \"domains\" must be an integer")
     in
     let* kernel_backend = opt_str_field "kernel_backend" in
     let* sim_strategy = opt_str_field "sim_strategy" in
@@ -204,9 +230,9 @@ module Request = struct
     let* deadline =
       match field "deadline" with
       | Some Rpc.Null | None -> Ok None
-      | Some (Rpc.Float f) when f > 0.0 -> Ok (Some f)
-      | Some (Rpc.Int n) when n > 0 -> Ok (Some (float_of_int n))
-      | Some _ -> Error "request field \"deadline\" must be a positive number"
+      | Some (Rpc.Float f) -> Ok (Some f)
+      | Some (Rpc.Int n) -> Ok (Some (float_of_int n))
+      | Some _ -> Error "request field \"deadline\" must be a number"
     in
     let* universe =
       match field "universe" with
@@ -227,34 +253,26 @@ module Request = struct
           | Some (Rpc.Int n) -> Ok (float_of_int n)
           | _ -> Error "universe field \"confidence\" must be a number"
         in
-        match
-          Estimate.Spec.validate { Estimate.Spec.samples; strata; confidence }
-        with
-        | Ok spec -> Ok (Sampled spec)
-        | Error msg -> Error ("request field \"universe\": " ^ msg))
+        Ok (Sampled { Estimate.Spec.samples; strata; confidence }))
       | Some _ -> Error "request field \"universe\" must be an object or null"
     in
-    if k < 1 then Error "request field \"k\" must be >= 1"
-    else if k2 < 1 then Error "request field \"k2\" must be >= 1"
-    else if nmax < 1 then Error "request field \"nmax\" must be >= 1"
-    else
-      Ok
-        {
-          label;
-          source;
-          sections;
-          universe;
-          k;
-          k2;
-          nmax;
-          seed;
-          scheme;
-          domains;
-          kernel_backend;
-          sim_strategy;
-          cache_dir;
-          deadline;
-        }
+    validate
+      {
+        label;
+        source;
+        sections;
+        universe;
+        k;
+        k2;
+        nmax;
+        seed;
+        scheme;
+        domains;
+        kernel_backend;
+        sim_strategy;
+        cache_dir;
+        deadline;
+      }
 end
 
 module Response = struct
@@ -373,16 +391,14 @@ let table_builder ~cache_dir =
     (fun dir -> fun ~cancel net -> Table_cache.table ~dir ~cancel net)
     cache_dir
 
-let select_runtime (req : Request.t) =
-  let ( let* ) = Result.bind in
-  let* () =
-    match req.kernel_backend with
-    | None -> Ok ()
-    | Some name -> Kernel.select name
-  in
-  match req.sim_strategy with
-  | None -> Ok ()
-  | Some name -> Strategy.select name
+(* Every request selects both, falling back to the process's startup
+   choice: a request that names neither must not inherit the previous
+   request's selection. *)
+let select_runtime ~kernel_backend ~sim_strategy =
+  Result.bind
+    (Kernel.select (Option.value kernel_backend ~default:Kernel.startup_name))
+    (fun () ->
+      Strategy.select (Option.value sim_strategy ~default:Strategy.startup_name))
 
 (* What the [analyze] unit produced: the exhaustive analysis or the
    sampled estimate. Either way the average-case sections run Procedure 1
@@ -391,7 +407,10 @@ let select_runtime (req : Request.t) =
 type computed = Exact of Analysis.t | Sampled_est of Estimate.t
 
 let run ?build (req : Request.t) =
-  match select_runtime req with
+  match
+    select_runtime ~kernel_backend:req.kernel_backend
+      ~sim_strategy:req.sim_strategy
+  with
   | Error message -> Error message
   | Ok () -> (
     match load_source ~scheme:req.scheme req.source with

@@ -2,9 +2,9 @@
 
     One analysis — "this netlist, these sections, these parameters" —
     is a value: {!Request.t} going in, {!Response.t} coming out of
-    {!run}. The CLI subcommands, the reproduction driver's option
-    parser ({!Driver.Options.to_request}) and the {!Serve} daemon all
-    build the same request and funnel through the same [run], so a
+    {!run}. The CLI subcommands ({!Cli.analyze}, {!Cli.average},
+    {!Cli.client}) and the {!Serve} daemon all build the same request
+    and funnel through the same [run], so a
     daemon answer is byte-identical to the CLI answer for the same
     request by construction: both print {!Response.render} of the same
     value.
@@ -92,15 +92,24 @@ module Request : sig
       k2 200, nmax 10, seed 1, scheme [Encode.Binary], everything else
       off. *)
 
+  val validate : t -> (t, string) result
+  (** [Ok t] when [k], [k2] and [nmax] are >= 1, [domains] (when set)
+      is >= 1, [deadline] (when set) is positive and a sampled
+      universe passes {!Ndetect_estimate.Estimate.Spec.validate};
+      otherwise [Error] naming the field. The command line and
+      {!of_json} both go through it, so both reject the same values
+      with the same message. *)
+
   val to_json : t -> Rpc.json
   (** Canonical encoding (fixed field order), used both on the wire and
       as the daemon's dedup fingerprint: equal requests produce equal
       documents. *)
 
   val of_json : Rpc.json -> (t, string) result
-  (** Inverse of {!to_json}; [Error] names the offending field. Unknown
-      fields are ignored (forward compatibility), missing optional
-      fields take the {!make} defaults. *)
+  (** Inverse of {!to_json}, ending in {!validate}; [Error] names the
+      offending field. Unknown fields are ignored (forward
+      compatibility), missing optional fields take the {!make}
+      defaults. *)
 end
 
 module Response : sig
@@ -172,6 +181,16 @@ val detection_table :
   Detection_table.t
 (** Load-or-build through the cache — the one-stop shop for callers
     outside [run] (the sharded campaign's workers use this). *)
+
+val select_runtime :
+  kernel_backend:string option ->
+  sim_strategy:string option ->
+  (unit, string) result
+(** Select the process-wide kernel backend and simulation strategy by
+    name; [None] selects the one chosen at startup
+    ({!Ndetect_util.Kernel.startup_name},
+    {!Ndetect_sim.Strategy.startup_name}), so no selection carries over
+    from one request to the next. [Error] names an unknown name. *)
 
 val run :
   ?build:

@@ -7,8 +7,6 @@ module Registry = Ndetect_suite.Registry
 module Example = Ndetect_suite.Example
 module Paper_tables = Ndetect_report.Paper_tables
 module Bitvec = Ndetect_util.Bitvec
-module Kernel = Ndetect_util.Kernel
-module Strategy = Ndetect_sim.Strategy
 module Supervise = Ndetect_util.Supervise
 module Telemetry = Ndetect_util.Telemetry
 
@@ -30,18 +28,6 @@ type options = {
   metrics : bool;
   kernel_backend : string option;
   sim_strategy : string option;
-  (* Sampled-universe flags: [samples = None] is exhaustive mode.
-     [strata]/[confidence] refine a sampled run and require
-     [--samples]. *)
-  samples : int option;
-  strata : int option;
-  confidence : float option;
-  (* Campaign-mode flags (the [ndetect campaign] subcommand). *)
-  workers : int option;
-  lease_secs : float option;
-  max_unit_retries : int option;
-  chaos : bool;
-  ledger_dir : string option;
 }
 
 let default_options =
@@ -63,15 +49,11 @@ let default_options =
     metrics = false;
     kernel_backend = None;
     sim_strategy = None;
-    samples = None;
-    strata = None;
-    confidence = None;
-    workers = None;
-    lease_secs = None;
-    max_unit_retries = None;
-    chaos = false;
-    ledger_dir = None;
   }
+
+let sections =
+  [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "figure2";
+    "all" ]
 
 module Options = struct
   type nonrec t = options
@@ -81,9 +63,7 @@ module Options = struct
       ?(only = default_options.only) ?(quiet = default_options.quiet)
       ?csv_dir ?checkpoint_dir ?(resume = default_options.resume)
       ?timeout_per_circuit ?inject ?domains ?table_cache ?trace
-      ?(metrics = default_options.metrics) ?kernel_backend ?sim_strategy
-      ?samples ?strata ?confidence ?workers ?lease_secs ?max_unit_retries
-      ?(chaos = default_options.chaos) ?ledger_dir () =
+      ?(metrics = default_options.metrics) ?kernel_backend ?sim_strategy () =
     {
       tier;
       k;
@@ -102,267 +82,8 @@ module Options = struct
       metrics;
       kernel_backend;
       sim_strategy;
-      samples;
-      strata;
-      confidence;
-      workers;
-      lease_secs;
-      max_unit_retries;
-      chaos;
-      ledger_dir;
     }
-
-  (* The universe mode an options value denotes; shared between
-     [to_request] and the campaign subcommand, which builds a campaign
-     spec rather than a request but must validate identically. *)
-  let universe t =
-    match t.samples with
-    | None ->
-      if t.strata <> None then Error "--strata requires --samples"
-      else if t.confidence <> None then
-        Error "--confidence requires --samples"
-      else Ok Api.Request.Exhaustive
-    | Some samples ->
-      Ndetect_estimate.Estimate.Spec.make ?strata:t.strata
-        ?confidence:t.confidence ~samples ()
-      |> Result.map (fun spec -> Api.Request.Sampled spec)
-      |> Result.map_error (fun msg -> "--samples: " ^ msg)
-
-  let to_request ?scheme t ~source ~label =
-    let sections =
-      match t.only with
-      | "table2" | "table3" -> Ok [ Api.Request.Worst ]
-      | "table5" -> Ok [ Api.Request.Average ]
-      | "table6" -> Ok [ Api.Request.Average_def2 ]
-      | "all" ->
-        Ok [ Api.Request.Worst; Api.Request.Average; Api.Request.Average_def2 ]
-      | other ->
-        Error
-          (Printf.sprintf
-             "--only %s has no per-circuit request form (expected table2, \
-              table3, table5, table6 or all)"
-             other)
-    in
-    Result.bind sections (fun sections ->
-        Result.map
-          (fun universe ->
-            Api.Request.make ~sections ~universe ~k:t.k ~k2:t.k2 ~seed:t.seed
-              ?scheme ?domains:t.domains ?kernel_backend:t.kernel_backend
-              ?sim_strategy:t.sim_strategy ?cache_dir:t.table_cache
-              ?deadline:t.timeout_per_circuit ~label source)
-          (universe t))
 end
-
-let usage =
-  "usage: reproduce [--tier small|medium|large] [--k N] [--k2 N] [--seed N]\n\
-  \                 [--only table1..table6|figure2|all] [--quiet] [--csv DIR]\n\
-  \                 [--checkpoint DIR] [--resume] [--timeout-per-circuit SECS]\n\
-  \                 [--inject SPEC] [--domains N] [--table-cache DIR]\n\
-  \                 [--trace FILE] [--metrics] [--kernel-backend swar|c]\n\
-  \                 [--sim-strategy cone|stem]\n\
-  \                 [--samples N] [--strata N] [--confidence P]\n\
-  \                 [--workers N] [--lease-secs SECS] [--max-unit-retries N]\n\
-  \                 [--chaos] [--ledger DIR]"
-
-let value_flags =
-  [
-    "--tier"; "--k"; "--k2"; "--seed"; "--only"; "--csv"; "--checkpoint";
-    "--timeout-per-circuit"; "--inject"; "--domains"; "--table-cache";
-    "--trace"; "--kernel-backend"; "--sim-strategy"; "--samples"; "--strata";
-    "--confidence"; "--workers"; "--lease-secs"; "--max-unit-retries";
-    "--ledger";
-  ]
-
-(* The flag grammar is written with [failwith] (every arm wants to abort
-   with a message); [parse_args_result] catches that at the boundary and
-   is the primary entry point — the raising [parse_args] is a thin
-   compatibility layer on top. *)
-let parse_args_exn args =
-  let int_value flag v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None ->
-      failwith (Printf.sprintf "%s expects an integer, got %S\n%s" flag v usage)
-  in
-  let seconds_value flag v =
-    match float_of_string_opt v with
-    | Some s when s > 0.0 -> s
-    | Some _ | None ->
-      failwith
-        (Printf.sprintf "%s expects a positive number of seconds, got %S\n%s"
-           flag v usage)
-  in
-  let rec go opts = function
-    | [] -> opts
-    | "--tier" :: v :: rest ->
-      let tier =
-        match String.lowercase_ascii v with
-        | "small" -> Registry.Small
-        | "medium" -> Registry.Medium
-        | "large" -> Registry.Large
-        | _ ->
-          failwith
-            (Printf.sprintf "unknown tier %S (small, medium or large)" v)
-      in
-      go { opts with tier } rest
-    | "--k" :: v :: rest -> go { opts with k = int_value "--k" v } rest
-    | "--k2" :: v :: rest -> go { opts with k2 = int_value "--k2" v } rest
-    | "--seed" :: v :: rest ->
-      go { opts with seed = int_value "--seed" v } rest
-    | "--only" :: v :: rest ->
-      go { opts with only = String.lowercase_ascii v } rest
-    | "--quiet" :: rest -> go { opts with quiet = true } rest
-    | "--csv" :: dir :: rest -> go { opts with csv_dir = Some dir } rest
-    | "--checkpoint" :: dir :: rest ->
-      go { opts with checkpoint_dir = Some dir } rest
-    | "--resume" :: rest -> go { opts with resume = true } rest
-    | "--timeout-per-circuit" :: v :: rest ->
-      go
-        {
-          opts with
-          timeout_per_circuit =
-            Some (seconds_value "--timeout-per-circuit" v);
-        }
-        rest
-    | "--inject" :: spec :: rest -> (
-      match Supervise.parse_injection_spec spec with
-      | Ok _ -> go { opts with inject = Some spec } rest
-      | Error message -> failwith (Printf.sprintf "--inject: %s" message))
-    | "--domains" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with domains = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--domains expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--table-cache" :: dir :: rest ->
-      go { opts with table_cache = Some dir } rest
-    | "--trace" :: file :: rest -> go { opts with trace = Some file } rest
-    | "--metrics" :: rest -> go { opts with metrics = true } rest
-    | "--kernel-backend" :: v :: rest ->
-      let name = String.lowercase_ascii v in
-      if List.mem_assoc name Kernel.backends then
-        go { opts with kernel_backend = Some name } rest
-      else
-        failwith
-          (Printf.sprintf "--kernel-backend: unknown backend %S (expected %s)\n%s"
-             v
-             (String.concat ", " (List.map fst Kernel.backends))
-             usage)
-    | "--sim-strategy" :: v :: rest ->
-      let name = String.lowercase_ascii v in
-      if List.mem_assoc name Strategy.names then
-        go { opts with sim_strategy = Some name } rest
-      else
-        failwith
-          (Printf.sprintf
-             "--sim-strategy: unknown strategy %S (expected %s)\n%s" v
-             (String.concat ", " (List.map fst Strategy.names))
-             usage)
-    | "--samples" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with samples = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--samples expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--strata" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with strata = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--strata expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--confidence" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some p when p > 0.0 && p < 1.0 ->
-        go { opts with confidence = Some p } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf
-             "--confidence expects a probability strictly inside (0, 1), \
-              got %S\n%s"
-             v usage))
-    | "--workers" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with workers = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--workers expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--lease-secs" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some s when s >= 1.0 -> go { opts with lease_secs = Some s } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf
-             "--lease-secs expects a number of seconds >= 1, got %S\n%s" v
-             usage))
-    | "--max-unit-retries" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with max_unit_retries = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf
-             "--max-unit-retries expects an integer >= 1, got %S\n%s" v usage))
-    | "--chaos" :: rest -> go { opts with chaos = true } rest
-    | "--ledger" :: dir :: rest -> go { opts with ledger_dir = Some dir } rest
-    | [ flag ] when List.mem flag value_flags ->
-      failwith (Printf.sprintf "%s requires a value\n%s" flag usage)
-    | arg :: _ -> failwith (Printf.sprintf "unknown argument %S\n%s" arg usage)
-  in
-  let opts = go default_options args in
-  (* Cross-flag validation: combinations each flag parser accepts in
-     isolation but that would silently do the wrong thing as a whole —
-     a run selecting no section, or empty sample sizes that render
-     every table vacuously. *)
-  if opts.resume && opts.checkpoint_dir = None then
-    failwith (Printf.sprintf "--resume requires --checkpoint DIR\n%s" usage);
-  let sections =
-    [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "figure2";
-      "all" ]
-  in
-  if not (List.mem opts.only sections) then
-    failwith
-      (Printf.sprintf "--only: unknown section %S (expected %s)\n%s" opts.only
-         (String.concat ", " sections) usage);
-  if opts.k < 1 then
-    failwith
-      (Printf.sprintf "--k expects a positive sample count, got %d\n%s" opts.k
-         usage);
-  if opts.k2 < 1 then
-    failwith
-      (Printf.sprintf "--k2 expects a positive sample count, got %d\n%s"
-         opts.k2 usage);
-  (match (opts.samples, opts.strata, opts.confidence) with
-  | None, Some _, _ ->
-    failwith (Printf.sprintf "--strata requires --samples N\n%s" usage)
-  | None, _, Some _ ->
-    failwith (Printf.sprintf "--confidence requires --samples N\n%s" usage)
-  | Some samples, Some strata, _ when samples < strata ->
-    failwith
-      (Printf.sprintf "--samples %d < --strata %d (every stratum must draw \
-                       at least once)\n%s"
-         samples strata usage)
-  | _ -> ());
-  (match (opts.chaos, opts.workers) with
-  | true, Some w when w >= 2 -> ()
-  | true, _ ->
-    (* Chaos kills workers mid-campaign; with fewer than two there is
-       nothing left to make progress while the victim is down. *)
-    failwith (Printf.sprintf "--chaos requires --workers >= 2\n%s" usage)
-  | false, _ -> ());
-  opts
-
-let parse_args_result args =
-  match parse_args_exn args with
-  | opts -> Ok opts
-  | exception Failure message -> Error message
-
-let parse_args args =
-  match parse_args_result args with
-  | Ok opts -> opts
-  | Error message -> failwith message
 
 (* Per-circuit execution state. [Summarized] means only the worst-case
    summary was recovered from a checkpoint; the full analysis is
@@ -389,24 +110,15 @@ let tier_name = function
   | Registry.Large -> "large"
 
 let create options =
-  (* Backend selection before any analysis touches a Bitvec: the flag
-     wins over NDETECT_KERNEL (which Kernel read at init). The name was
-     validated at parse time; re-validate anyway for programmatic
-     [Options.make] callers. *)
-  (match options.kernel_backend with
-  | None -> ()
-  | Some name -> (
-    match Kernel.select name with
-    | Ok () -> ()
-    | Error message -> failwith (Printf.sprintf "--kernel-backend: %s" message)));
-  (* Same contract for the fault-simulation strategy: the flag wins over
-     NDETECT_SIM, applied before any table is built. *)
-  (match options.sim_strategy with
-  | None -> ()
-  | Some name -> (
-    match Strategy.select name with
-    | Ok () -> ()
-    | Error message -> failwith (Printf.sprintf "--sim-strategy: %s" message)));
+  (* Backend and strategy selection before any analysis touches a
+     Bitvec or builds a table. The names were validated at parse time;
+     re-validate anyway for programmatic [Options.make] callers. *)
+  (match
+     Api.select_runtime ~kernel_backend:options.kernel_backend
+       ~sim_strategy:options.sim_strategy
+   with
+  | Ok () -> ()
+  | Error message -> failwith message);
   (match options.inject with
   | None -> Supervise.set_injection []
   | Some spec -> (

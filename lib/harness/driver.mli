@@ -1,6 +1,7 @@
-(** The reproduction driver: regenerates every table and figure of the
-    paper on the embedded benchmark suite. Shared by [bin/reproduce] and
-    the benchmark harness.
+(** The reproduction driver behind [ndetect reproduce]: regenerates
+    every table and figure of the paper on the embedded benchmark
+    suite. Its options are built from the command line by
+    {!Cli.reproduce}.
 
     Every per-circuit computation runs as one supervised unit
     ({!Ndetect_util.Supervise.run}): it gets its own cancellation
@@ -24,7 +25,7 @@ type options = {
   k : int;  (** Procedure 1 test sets for Table 5. *)
   k2 : int;  (** Test sets per definition for Table 6. *)
   seed : int;
-  only : string;  (** ["all"] or one of ["table1".."table6"; "figure2"]. *)
+  only : string;  (** One of {!sections}. *)
   quiet : bool;  (** Suppress per-step timing lines. *)
   csv_dir : string option;
       (** When set, [run_all] also writes table2/3/5/6.csv and
@@ -60,50 +61,27 @@ type options = {
           counter deltas, process-wide totals and the aggregated span
           profile. Pure observability, like [trace]. *)
   kernel_backend : string option;
-      (** When set, {!create} switches the process-wide intersection
-          kernel ({!Ndetect_util.Kernel.select}) before any analysis
-          runs — overriding the [NDETECT_KERNEL] environment default.
+      (** {!create} selects the process-wide intersection kernel
+          ({!Ndetect_util.Kernel.select}) before any analysis runs: this
+          name, or {!Ndetect_util.Kernel.startup_name} (the
+          [NDETECT_KERNEL] environment default) when unset.
           Both backends are bit-identical, so — like [domains] — this is
           a pure throughput knob, excluded from checkpoint stamps and
           cache keys. The selection is visible as the
           ["kernel.backend"] gauge in [--metrics] and traces. *)
   sim_strategy : string option;
-      (** When set, {!create} switches the process-wide fault-simulation
-          strategy ({!Ndetect_sim.Strategy.select}) before any analysis
-          runs — overriding the [NDETECT_SIM] environment default
-          (["stem"]). Both strategies produce bit-identical detection
+      (** {!create} selects the process-wide fault-simulation strategy
+          ({!Ndetect_sim.Strategy.select}) before any analysis runs:
+          this name, or {!Ndetect_sim.Strategy.startup_name} (the
+          [NDETECT_SIM] environment default, ["stem"]) when unset. Both strategies produce bit-identical detection
           tables, so this is a pure throughput knob like
           [kernel_backend], excluded from checkpoint stamps and cache
           keys. Visible as the ["sim.strategy"] gauge in [--metrics]
           and traces. *)
-  samples : int option;
-      (** When set (>= 1), analyses run in sampled-universe mode:
-          detection quantities are estimated from this many stratified
-          random vectors instead of all [2^PI], and the worst-case
-          section reports confidence intervals
-          ({!Ndetect_estimate.Estimate}). [None] is exhaustive mode. *)
-  strata : int option;
-      (** Sampled mode only: stratum count (>= 1, and at most
-          [samples]); requires [samples]. Default
-          {!Ndetect_estimate.Estimate.Spec.default_strata}. *)
-  confidence : float option;
-      (** Sampled mode only: interval confidence, strictly inside
-          (0, 1); requires [samples]. Default
-          {!Ndetect_estimate.Estimate.Spec.default_confidence}. *)
-  workers : int option;
-      (** [ndetect campaign] only: worker subprocess count (>= 1).
-          Ignored by the reproduction driver. *)
-  lease_secs : float option;
-      (** Campaign only: heartbeat lease before a worker is presumed
-          dead and its units reassigned (>= 1 second). *)
-  max_unit_retries : int option;
-      (** Campaign only: failed attempts before a unit is poisoned
-          (>= 1). *)
-  chaos : bool;
-      (** Campaign only: randomly SIGKILL / stall workers mid-run.
-          Requires [workers >= 2]. *)
-  ledger_dir : string option;  (** Campaign only: the work ledger. *)
 }
+
+val sections : string list
+(** The [only] values: ["table1".."table6"], ["figure2"] and ["all"]. *)
 
 val default_options : options
 (** Medium tier, [k = 1000], [k2 = 200], [seed = 1], everything; no
@@ -133,68 +111,10 @@ module Options : sig
     ?metrics:bool ->
     ?kernel_backend:string ->
     ?sim_strategy:string ->
-    ?samples:int ->
-    ?strata:int ->
-    ?confidence:float ->
-    ?workers:int ->
-    ?lease_secs:float ->
-    ?max_unit_retries:int ->
-    ?chaos:bool ->
-    ?ledger_dir:string ->
     unit ->
     t
   (** Every omitted argument takes its {!default_options} value. *)
-
-  val universe :
-    t -> (Api.Request.universe, string) result
-  (** The universe mode the options denote: [Exhaustive] without
-      [samples], otherwise a validated
-      [Sampled of Estimate.Spec.t] ([Error] on an invalid
-      samples/strata/confidence combination — same validation as
-      {!Ndetect_estimate.Estimate.Spec.make}). *)
-
-  val to_request :
-    ?scheme:Ndetect_synth.Encode.scheme ->
-    t ->
-    source:Api.Request.source ->
-    label:string ->
-    (Api.Request.t, string) result
-  (** Lower parsed driver options onto the request/response core: the
-      options become a thin parser, {!Api.run} does the work. The
-      [only] field picks the sections — [table2]/[table3] map to
-      [Worst], [table5] to [Average], [table6] to [Average_def2], [all]
-      to all three; the example-circuit sections ([table1], [table4],
-      [figure2]) have no per-request form and return [Error]. [k],
-      [k2], [seed], [domains], [kernel_backend], [sim_strategy],
-      [table_cache] and [timeout_per_circuit] carry over field for
-      field; [samples]/[strata]/[confidence] lower to the request's
-      {!universe} mode. *)
 end
-
-val parse_args_result : string list -> (options, string) result
-(** Parse [--tier small|medium|large], [--k N], [--k2 N], [--seed N],
-    [--only WHAT], [--quiet], [--csv DIR], [--checkpoint DIR],
-    [--resume], [--timeout-per-circuit SECS], [--inject SPEC],
-    [--domains N], [--table-cache DIR], [--trace FILE], [--metrics],
-    [--kernel-backend NAME] (a registered
-    {!Ndetect_util.Kernel.backends} name), [--sim-strategy NAME] (a
-    registered {!Ndetect_sim.Strategy.names} name), the sampled-universe
-    flags [--samples N] (>= 1), [--strata N] (>= 1, requires
-    [--samples], rejected when above it) and [--confidence P] (strictly
-    inside (0, 1), requires [--samples]), and the campaign flags [--workers N] (>= 1), [--lease-secs SECS]
-    (>= 1), [--max-unit-retries N] (>= 1), [--chaos] (rejected unless
-    [--workers >= 2]) and [--ledger DIR]. [Error message] names the
-    offending flag (and includes the usage string) on malformed values,
-    missing values, or unknown arguments. *)
-
-val parse_args : string list -> options
-  [@@ocaml.deprecated "use Driver.parse_args_result"]
-(** @deprecated {!parse_args_result}, raising [Failure] instead of
-    returning [Error]. Kept as a compatibility shim for out-of-tree
-    callers; everything in-tree parses through the result form. *)
-
-val usage : string
-(** The usage string appended to [parse_args] error messages. *)
 
 type t
 (** A driver instance caching per-circuit results across tables. *)
@@ -207,7 +127,7 @@ val create : options -> t
 val failures : t -> (string * Supervise.failure) list
 (** Supervised units that failed so far, in execution order, labelled
     ["analyze CIRCUIT"] / ["procedure1 CIRCUIT"] / .... Empty after a
-    fully clean run; [bin/reproduce] exits 3 when non-empty. *)
+    fully clean run; [ndetect reproduce] exits 3 when non-empty. *)
 
 val unit_metrics : t -> (string * (string * int) list) list
 (** With [metrics] set: per supervised unit (execution order), the

@@ -42,6 +42,10 @@
     structured [skipped] failure instead of computing — closes every
     connection and removes the socket file. *)
 
+val fingerprint : Api.Request.t -> string
+(** The dedup key: MD5 hex of the request's canonical
+    {!Api.Request.to_json} document with the deadline cleared. *)
+
 type config = {
   socket : string;  (** Unix-domain socket path (note the ~100-byte OS limit). *)
   cache_dir : string option;

@@ -42,6 +42,7 @@ let make_campaign ?(fault_block = 256) ?set_chunk ?(nmax = 10) ?circuits
     ?samples ?strata ?confidence ~tier ~seed ~set_count () =
   if fault_block < 1 then invalid_arg "Spec.make_campaign: fault_block < 1";
   if set_count < 1 then invalid_arg "Spec.make_campaign: set_count < 1";
+  if nmax < 1 then invalid_arg "Spec.make_campaign: nmax < 1";
   let set_chunk =
     match set_chunk with Some c -> c | None -> max 1 (set_count / 8)
   in

@@ -69,7 +69,9 @@ val make_campaign :
   campaign
 (** Campaign over all suite circuits of [tier] (and cheaper), in
     registry order; [circuits] restricts to a subset (order-insensitive,
-    [Invalid_argument] for names outside the tier). Defaults:
+    [Invalid_argument] for names outside the tier). [Invalid_argument]
+    too when [fault_block], [set_count], [set_chunk] or [nmax] is
+    below 1. Defaults:
     [fault_block = 256], [set_chunk = max 1 (set_count / 8)],
     [nmax = 10]. Passing [samples] makes the campaign sampled-universe
     ([strata]/[confidence] are validated through

@@ -40,10 +40,9 @@ let current_name () = name_of !state
    the stem default otherwise. An unknown value is deliberately ignored
    (not fatal): a stale environment must not break runs, and the
    driver's --sim-strategy flag still validates strictly. *)
-let () =
-  let initial =
-    match Sys.getenv_opt env_var with
-    | Some v when List.mem_assoc v names -> v
-    | Some _ | None -> default_name
-  in
-  match select initial with Ok () -> () | Error _ -> ()
+let startup_name =
+  match Sys.getenv_opt env_var with
+  | Some v when List.mem_assoc v names -> v
+  | Some _ | None -> default_name
+
+let () = match select startup_name with Ok () -> () | Error _ -> ()

@@ -35,6 +35,12 @@ val default_name : string
 val env_var : string
 (** ["NDETECT_SIM"], read once at module initialization. *)
 
+val startup_name : string
+(** The strategy selected at module initialization: [NDETECT_SIM] when
+    it names a registered strategy, else {!default_name}. A request
+    that names no strategy runs on this one, whatever an earlier
+    request in the same process selected. *)
+
 val name_of : t -> string
 
 val select : string -> (unit, string) result

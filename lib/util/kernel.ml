@@ -179,13 +179,12 @@ let describe () = Printf.sprintf "%s: %s" (!state).name (!state).description
    the hardware default otherwise. An unknown value is deliberately
    ignored (not fatal): a stale environment must not break runs, and the
    driver's --kernel-backend flag still validates strictly. *)
-let () =
-  let initial =
-    match Sys.getenv_opt env_var with
-    | Some v when List.mem_assoc v backends -> v
-    | Some _ | None -> default_name
-  in
-  match select initial with Ok () -> () | Error _ -> ()
+let startup_name =
+  match Sys.getenv_opt env_var with
+  | Some v when List.mem_assoc v backends -> v
+  | Some _ | None -> default_name
+
+let () = match select startup_name with Ok () -> () | Error _ -> ()
 
 external fnv1a_region : buf -> off:int -> int -> int64
   = "ndetect_c_fnv1a_region"

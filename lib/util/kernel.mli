@@ -112,6 +112,12 @@ val default_name : string
 val env_var : string
 (** ["NDETECT_KERNEL"], read once at module initialization. *)
 
+val startup_name : string
+(** The backend selected at module initialization: [NDETECT_KERNEL]
+    when it names a registered backend, else {!default_name}. A
+    request that names no backend runs on this one, whatever an earlier
+    request in the same process selected. *)
+
 val select : string -> (unit, string) result
 (** Switch the process-wide backend by name. [Error] names the unknown
     backend and lists the registered ones; the selection is unchanged

@@ -43,3 +43,24 @@ let contains_substring haystack needle =
     i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
   in
   go 0
+
+(* Evaluate a command-line term on [args] exactly as [ndetect] would
+   (including the "--k" spelling rewrite). As on the command line, a
+   negative value needs the "--flag=-3" form: [Ok] the built value, or
+   [Error] with cmdliner's error text (which names the flag). *)
+let parse_cli term args =
+  let open Cmdliner in
+  let buf = Buffer.create 128 in
+  let err = Format.formatter_of_buffer buf in
+  (* One line per message, so substring checks never straddle a wrap. *)
+  Format.pp_set_margin err 10_000;
+  let result =
+    Cmd.eval_value ~err ~help:err
+      ~argv:(Ndetect_harness.Cli.argv (Array.of_list ("ndetect" :: args)))
+      (Cmd.v (Cmd.info "ndetect") term)
+  in
+  Format.pp_print_flush err ();
+  match result with
+  | Ok (`Ok v) -> Ok v
+  | Ok (`Help | `Version) -> Error "help or version requested"
+  | Error _ -> Error (Buffer.contents buf)

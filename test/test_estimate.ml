@@ -10,9 +10,9 @@ module Interval = Ndetect_estimate.Interval
 module Sampler = Ndetect_estimate.Sampler
 module Estimate = Ndetect_estimate.Estimate
 module Ref_estimate = Ndetect_check.Ref_estimate
+module Cli = Ndetect_harness.Cli
 module Registry = Ndetect_suite.Registry
 module Random_circuit = Ndetect_suite.Random_circuit
-module Driver = Ndetect_harness.Driver
 module Api = Ndetect_harness.Api
 
 let close ?(eps = 1e-4) label expected actual =
@@ -396,50 +396,65 @@ let test_calibration_validation () =
   expect_invalid "bad sampling spec" (fun () ->
       Ref_estimate.run ~samples:2 ~strata:8 ~trials:1 ~seed:1 ~max_pi:4 ())
 
-(* --- driver flag validation --- *)
+(* --- command-line flag validation --- *)
 
 let test_driver_sampled_flags () =
-  (match Driver.parse_args_result [ "--samples"; "500"; "--strata"; "8";
-                                    "--confidence"; "0.9" ] with
-  | Ok o ->
-    Alcotest.(check (option int)) "samples parsed" (Some 500) o.Driver.samples;
-    Alcotest.(check (option int)) "strata parsed" (Some 8) o.Driver.strata;
+  let universe args =
+    Result.map
+      (fun req -> req.Api.Request.universe)
+      (Helpers.parse_cli Cli.analyze ("lion" :: args))
+  in
+  (match
+     universe [ "--samples"; "500"; "--strata"; "8"; "--confidence"; "0.9" ]
+   with
+  | Ok (Api.Request.Sampled spec) ->
+    Alcotest.(check int) "samples parsed" 500 spec.Api.Estimate.Spec.samples;
+    Alcotest.(check int) "strata parsed" 8 spec.Api.Estimate.Spec.strata;
     Alcotest.(check bool) "confidence parsed" true
-      (o.Driver.confidence = Some 0.9);
-    (match Driver.Options.universe o with
-    | Ok (Api.Request.Sampled spec) ->
-      Alcotest.(check int) "universe samples" 500 spec.Api.Estimate.Spec.samples
-    | Ok Api.Request.Exhaustive -> Alcotest.fail "expected sampled universe"
-    | Error m -> Alcotest.fail m)
+      (spec.Api.Estimate.Spec.confidence = 0.9)
+  | Ok Api.Request.Exhaustive -> Alcotest.fail "expected sampled universe"
   | Error m -> Alcotest.fail m);
-  (match Driver.parse_args_result [] with
-  | Ok o ->
-    Alcotest.(check bool) "default universe exhaustive" true
-      (Driver.Options.universe o = Ok Api.Request.Exhaustive)
-  | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "default universe exhaustive" true
+    (universe [] = Ok Api.Request.Exhaustive);
+  (* Every subcommand that takes the sampling flags shares one term. *)
   List.iter
-    (fun (label, args) ->
-      match Driver.parse_args_result args with
-      | Error m ->
-        Alcotest.(check bool)
-          (label ^ " error names the flag")
-          true
-          (Helpers.contains_substring m "--samples"
-          || Helpers.contains_substring m "--strata"
-          || Helpers.contains_substring m "--confidence")
-      | Ok _ -> Alcotest.failf "%s: accepted %s" label (String.concat " " args))
+    (fun (name, parse) ->
+      List.iter
+        (fun (label, args) ->
+          match parse args with
+          | Error m ->
+            Alcotest.(check bool)
+              (name ^ ": " ^ label ^ " error names the flag")
+              true
+              (Helpers.contains_substring m "--samples"
+              || Helpers.contains_substring m "--strata"
+              || Helpers.contains_substring m "--confidence")
+          | Ok () ->
+            Alcotest.failf "%s: %s: accepted %s" name label
+              (String.concat " " args))
+        [
+          ("zero samples", [ "--samples"; "0" ]);
+          ("negative samples", [ "--samples=-5" ]);
+          ("non-integer samples", [ "--samples"; "many" ]);
+          ("confidence 0", [ "--samples"; "10"; "--confidence"; "0" ]);
+          ("confidence 1", [ "--samples"; "10"; "--confidence"; "1" ]);
+          ("confidence 1.5", [ "--samples"; "10"; "--confidence"; "1.5" ]);
+          ("confidence word", [ "--samples"; "10"; "--confidence"; "high" ]);
+          ("strata without samples", [ "--strata"; "4" ]);
+          ("confidence without samples", [ "--confidence"; "0.9" ]);
+          ("samples below strata", [ "--samples"; "3"; "--strata"; "8" ]);
+          ("missing value", [ "--samples" ]);
+        ])
     [
-      ("zero samples", [ "--samples"; "0" ]);
-      ("negative samples", [ "--samples"; "-5" ]);
-      ("non-integer samples", [ "--samples"; "many" ]);
-      ("confidence 0", [ "--samples"; "10"; "--confidence"; "0" ]);
-      ("confidence 1", [ "--samples"; "10"; "--confidence"; "1" ]);
-      ("confidence 1.5", [ "--samples"; "10"; "--confidence"; "1.5" ]);
-      ("confidence word", [ "--samples"; "10"; "--confidence"; "high" ]);
-      ("strata without samples", [ "--strata"; "4" ]);
-      ("confidence without samples", [ "--confidence"; "0.9" ]);
-      ("samples below strata", [ "--samples"; "3"; "--strata"; "8" ]);
-      ("missing value", [ "--samples" ]);
+      ("analyze", fun args ->
+          Result.map ignore (Helpers.parse_cli Cli.analyze ("lion" :: args)));
+      ("average", fun args ->
+          Result.map ignore (Helpers.parse_cli Cli.average ("lion" :: args)));
+      ("client", fun args ->
+          Result.map ignore (Helpers.parse_cli Cli.client ("lion" :: args)));
+      ("campaign", fun args ->
+          Result.map ignore
+            (Helpers.parse_cli Cli.campaign ("--ledger" :: "l" :: args)));
     ]
 
 let () =

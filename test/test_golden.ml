@@ -93,6 +93,82 @@ let test_example_distribution () =
     [ 1; 1; 1; 1; 3; 3; 3; 3; 4; 4 ]
     dist
 
+(* The daemon's dedup key and the campaign ledger stamp, recorded before
+   the command line was rebuilt on cmdliner terms: the requests and
+   campaigns the command line builds must not move either. *)
+
+module Api = Ndetect_harness.Api
+module Cli = Ndetect_harness.Cli
+module Serve = Ndetect_harness.Serve
+module Shard_spec = Ndetect_shard.Spec
+
+let cli_ok term args =
+  match Helpers.parse_cli term args with
+  | Ok v -> v
+  | Error m -> Alcotest.fail m
+
+let test_request_fingerprints () =
+  Alcotest.(check string) "exhaustive defaults"
+    "6ba242c526e4a13d03ee5aeb11a7268c"
+    (Serve.fingerprint (cli_ok Cli.analyze [ "lion" ]));
+  Alcotest.(check string) "sampled 2000/16/0.9"
+    "b59eb034d577eab6033c19a6016f6b5b"
+    (Serve.fingerprint
+       (cli_ok Cli.analyze
+          [ "rie"; "--samples"; "2000"; "--strata"; "16"; "--confidence";
+            "0.9" ]));
+  let every_field =
+    Api.Request.make
+      ~sections:
+        [ Api.Request.Worst; Api.Request.Average; Api.Request.Average_def2 ]
+      ~universe:
+        (Api.Request.Sampled
+           { Api.Estimate.Spec.samples = 2000; strata = 16; confidence = 0.9 })
+      ~k:50 ~k2:20 ~nmax:5 ~seed:7 ~scheme:Ndetect_synth.Encode.Gray ~domains:2
+      ~kernel_backend:"swar" ~sim_strategy:"cone" ~cache_dir:"tc" ~deadline:2.5
+      ~label:"mc" (Api.Request.Suite "mc")
+  in
+  Alcotest.(check string) "every optional field set"
+    "796b710a1f3dda8daffe596d29d8681b"
+    (Serve.fingerprint every_field);
+  match Api.Request.of_json (Api.Request.to_json every_field) with
+  | Ok decoded ->
+    Alcotest.(check string) "wire round trip keeps the key"
+      (Serve.fingerprint every_field) (Serve.fingerprint decoded)
+  | Error m -> Alcotest.fail m
+
+let test_campaign_stamps () =
+  let stamp args =
+    let c =
+      cli_ok Cli.campaign ([ "--tier"; "small"; "--ledger"; "l" ] @ args)
+    in
+    let samples, strata, confidence =
+      match c.Cli.universe with
+      | Api.Request.Exhaustive -> (None, None, None)
+      | Api.Request.Sampled s ->
+        ( Some s.Api.Estimate.Spec.samples,
+          Some s.Api.Estimate.Spec.strata,
+          Some s.Api.Estimate.Spec.confidence )
+    in
+    Shard_spec.stamp
+      (Shard_spec.make_campaign ~fault_block:c.Cli.fault_block
+         ?set_chunk:c.Cli.set_chunk ?circuits:c.Cli.circuits ~nmax:c.Cli.nmax
+         ?samples ?strata ?confidence ~tier:c.Cli.tier ~seed:c.Cli.seed
+         ~set_count:c.Cli.set_count ())
+  in
+  let small =
+    "[c17,lion,dk27,ex5,train4,bbtas,dk15,dk512,dk14,dk17,firstex,lion9,mc,\
+     modulo12,s8,tav,ex7,train11,beecount,ex3]"
+  in
+  Alcotest.(check string) "exhaustive small tier"
+    ("v2 tier=small seed=1 K=1000 nmax=10 block=256 chunk=125 samples=0 \
+      strata=0 conf=0 " ^ small)
+    (stamp []);
+  Alcotest.(check string) "sampled small tier"
+    ("v2 tier=small seed=1 K=1000 nmax=10 block=256 chunk=125 samples=2000 \
+      strata=16 conf=0.9 " ^ small)
+    (stamp [ "--samples"; "2000"; "--strata"; "16"; "--confidence"; "0.9" ])
+
 let () =
   Alcotest.run "golden"
     [
@@ -105,5 +181,11 @@ let () =
           Alcotest.test_case "c17 (real ISCAS-85)" `Quick test_c17;
           Alcotest.test_case "example distribution" `Quick
             test_example_distribution;
+        ] );
+      ( "keys",
+        [
+          Alcotest.test_case "request fingerprints" `Quick
+            test_request_fingerprints;
+          Alcotest.test_case "campaign stamps" `Quick test_campaign_stamps;
         ] );
     ]

@@ -1,7 +1,8 @@
-(* Tests for the reproduction driver shared by bin/reproduce and
-   bench/main. *)
+(* Tests for the reproduction driver behind `ndetect reproduce` and
+   for its command-line grammar (Cli.reproduce, Cli.campaign). *)
 
 module Driver = Ndetect_harness.Driver
+module Cli = Ndetect_harness.Cli
 module Api = Ndetect_harness.Api
 module Checkpoint = Ndetect_harness.Checkpoint
 module Registry = Ndetect_suite.Registry
@@ -25,18 +26,27 @@ let small_options =
     ~quiet:true ()
 
 let parse_ok args =
-  match Driver.parse_args_result args with
+  match Helpers.parse_cli Cli.reproduce args with
   | Ok opts -> opts
   | Error m -> Alcotest.fail ("unexpected parse error: " ^ m)
 
-let test_parse_args_defaults () =
-  let opts = parse_ok [] in
-  Alcotest.(check int) "k" 1000 opts.Driver.k;
-  Alcotest.(check int) "k2" 200 opts.Driver.k2;
-  Alcotest.(check string) "only" "all" opts.Driver.only;
-  Alcotest.(check bool) "not quiet" false opts.Driver.quiet
+let failure_message term args =
+  match Helpers.parse_cli term args with
+  | Ok _ ->
+    Alcotest.failf "expected a usage error for %s" (String.concat " " args)
+  | Error m -> m
 
-let test_parse_args_full () =
+let expect_error term label args needle =
+  Alcotest.(check bool)
+    (label ^ " message mentions cause")
+    true
+    (Helpers.contains_substring (failure_message term args) needle)
+
+let test_args_defaults () =
+  Alcotest.(check bool) "no flags = default options" true
+    (parse_ok [] = Driver.default_options)
+
+let test_args_full () =
   let opts =
     parse_ok
       [ "--tier"; "large"; "--k"; "42"; "--k2"; "7"; "--seed"; "9";
@@ -47,120 +57,122 @@ let test_parse_args_full () =
   Alcotest.(check int) "k2" 7 opts.Driver.k2;
   Alcotest.(check int) "seed" 9 opts.Driver.seed;
   Alcotest.(check string) "only lowercased" "table5" opts.Driver.only;
-  Alcotest.(check bool) "quiet" true opts.Driver.quiet
+  Alcotest.(check bool) "quiet" true opts.Driver.quiet;
+  (* The cmdliner spellings of -k name the same flag. *)
+  Alcotest.(check int) "-k" 5 (parse_ok [ "-k"; "5" ]).Driver.k;
+  Alcotest.(check int) "--sets" 6 (parse_ok [ "--sets"; "6" ]).Driver.k
 
-let test_parse_args_csv () =
+let test_args_csv () =
   let opts = parse_ok [ "--csv"; "out/dir" ] in
   Alcotest.(check (option string)) "csv dir" (Some "out/dir")
     opts.Driver.csv_dir;
   Alcotest.(check (option string)) "default none" None
     (parse_ok []).Driver.csv_dir
 
-let test_parse_args_errors () =
-  Alcotest.(check bool) "bad tier" true
-    (Result.is_error (Driver.parse_args_result [ "--tier"; "gigantic" ]));
-  Alcotest.(check bool) "unknown flag" true
-    (Result.is_error (Driver.parse_args_result [ "--frobnicate" ]))
+let test_args_errors () =
+  let rejected args = Result.is_error (Helpers.parse_cli Cli.reproduce args) in
+  Alcotest.(check bool) "bad tier" true (rejected [ "--tier"; "gigantic" ]);
+  Alcotest.(check bool) "unknown flag" true (rejected [ "--frobnicate" ]);
+  (* The flags the driver never read are not part of its grammar. *)
+  List.iter
+    (fun args ->
+      Alcotest.(check bool) (String.concat " " args ^ " rejected") true
+        (rejected args))
+    [
+      [ "--samples"; "3" ]; [ "--strata"; "4" ]; [ "--confidence"; "0.9" ];
+      [ "--workers"; "5" ]; [ "--lease-secs"; "10" ];
+      [ "--max-unit-retries"; "2" ]; [ "--chaos" ]; [ "--ledger"; "x" ];
+    ]
 
-let failure_message args =
-  match Driver.parse_args_result args with
-  | Ok _ -> Alcotest.fail "expected parse failure"
-  | Error m -> m
-
-let test_parse_args_friendly_messages () =
-  let m = failure_message [ "--k"; "abc" ] in
+let test_args_friendly_messages () =
+  let reproduce = failure_message Cli.reproduce in
   Alcotest.(check bool) "names flag and value" true
-    (Helpers.contains_substring m "--k expects an integer, got \"abc\"");
-  let m = failure_message [ "--seed" ] in
+    (Helpers.contains_substring (reproduce [ "--k"; "abc" ])
+       "expected an integer >= 1, got \"abc\"");
   Alcotest.(check bool) "missing value" true
-    (Helpers.contains_substring m "--seed requires a value");
-  let m = failure_message [ "--wat" ] in
+    (Helpers.contains_substring (reproduce [ "--seed" ]) "--seed");
+  let m = reproduce [ "--wat" ] in
   Alcotest.(check bool) "unknown arg quoted" true
-    (Helpers.contains_substring m "unknown argument \"--wat\"");
+    (Helpers.contains_substring m "unknown option '--wat'");
   Alcotest.(check bool) "usage appended" true
-    (Helpers.contains_substring m "usage: reproduce");
-  let m = failure_message [ "--timeout-per-circuit"; "-3" ] in
+    (Helpers.contains_substring m "Usage: ndetect");
   Alcotest.(check bool) "non-positive timeout" true
-    (Helpers.contains_substring m "--timeout-per-circuit expects a positive")
+    (Helpers.contains_substring
+       (reproduce [ "--timeout-per-circuit=-3" ])
+       "expected a positive number of seconds")
 
-let test_parse_args_result () =
-  (match Driver.parse_args_result [ "--k"; "5" ] with
+let test_args_result () =
+  (match Helpers.parse_cli Cli.reproduce [ "--k"; "5" ] with
   | Ok opts -> Alcotest.(check int) "ok carries options" 5 opts.Driver.k
   | Error _ -> Alcotest.fail "expected Ok");
-  (match Driver.parse_args_result [ "--k"; "abc" ] with
+  match Helpers.parse_cli Cli.reproduce [ "--k"; "abc" ] with
   | Ok _ -> Alcotest.fail "expected Error"
   | Error m ->
     Alcotest.(check bool) "error names the flag" true
-      (Helpers.contains_substring m "--k expects an integer");
-    (* The deprecated raising shim reports the same message. *)
-    let shim_message =
-      match (Driver.parse_args [@alert "-deprecated"]) [ "--k"; "abc" ] with
-      | _ -> Alcotest.fail "expected parse failure"
-      | exception Failure shim -> shim
-    in
-    Alcotest.(check string) "parse_args raises same message" m shim_message)
+      (Helpers.contains_substring m "option '-k'")
 
 (* Flag combinations that every individual parser accepts but that are
-   wrong as a whole must be an [Error], not a run that silently does
+   wrong as a whole must be a usage error, not a run that silently does
    nothing (an unknown --only section selects zero tables; k/k2 < 1
    render every sampled table vacuously). *)
-let test_parse_args_rejects_contradictions () =
-  let expect_error label args needle =
-    match Driver.parse_args_result args with
-    | Ok _ -> Alcotest.fail (label ^ ": expected Error")
-    | Error m ->
-      Alcotest.(check bool)
-        (label ^ " message mentions cause")
-        true
-        (Helpers.contains_substring m needle)
-  in
-  expect_error "unknown section" [ "--only"; "table9" ] "unknown section";
-  expect_error "zero k" [ "--k"; "0" ] "--k expects a positive";
-  expect_error "negative k2" [ "--k2"; "-5" ] "--k2 expects a positive";
-  expect_error "resume without checkpoint" [ "--resume" ]
+let test_args_rejects_contradictions () =
+  let reproduce = expect_error Cli.reproduce in
+  reproduce "unknown section" [ "--only"; "table9" ] "unknown section";
+  reproduce "zero k" [ "--k"; "0" ] "expected an integer >= 1";
+  reproduce "negative k2" [ "--k2=-5" ] "expected an integer >= 1";
+  reproduce "resume without checkpoint" [ "--resume" ]
     "--resume requires --checkpoint";
   (* Campaign flags: degenerate values and contradictory combinations. *)
-  expect_error "zero workers" [ "--workers"; "0" ]
-    "--workers expects an integer >= 1";
-  expect_error "non-integer workers" [ "--workers"; "two" ]
-    "--workers expects an integer >= 1";
-  expect_error "sub-second lease" [ "--lease-secs"; "0.5" ]
-    "--lease-secs expects a number of seconds >= 1";
-  expect_error "zero retries" [ "--max-unit-retries"; "0" ]
-    "--max-unit-retries expects an integer >= 1";
-  expect_error "chaos without workers" [ "--chaos" ]
+  let campaign label args needle =
+    expect_error Cli.campaign label ([ "--ledger"; "l" ] @ args) needle
+  in
+  campaign "zero workers" [ "--workers"; "0" ] "expected an integer >= 1";
+  campaign "non-integer workers" [ "--workers"; "two" ]
+    "expected an integer >= 1";
+  campaign "sub-second lease" [ "--lease-secs"; "0.5" ]
+    "expected a number of seconds >= 1";
+  campaign "zero retries" [ "--max-unit-retries"; "0" ]
+    "expected an integer >= 1";
+  campaign "chaos with one worker" [ "--chaos"; "--workers"; "1" ]
     "--chaos requires --workers >= 2";
-  expect_error "chaos with one worker" [ "--chaos"; "--workers"; "1" ]
-    "--chaos requires --workers >= 2";
+  campaign "bad inject spec" [ "--inject"; "frazzle=x" ] "--inject";
+  campaign "strata without samples" [ "--strata"; "4" ]
+    "--strata requires --samples";
   (* Case-insensitivity and the valid spellings stay accepted. *)
-  List.iter
-    (fun args ->
-      match Driver.parse_args_result args with
-      | Ok _ -> ()
-      | Error m -> Alcotest.fail ("unexpected Error: " ^ m))
+  let accepted term args =
+    match Helpers.parse_cli term args with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "rejected %s: %s" (String.concat " " args) m
+  in
+  List.iter (accepted Cli.reproduce)
     [
-      [ "--only"; "Table5" ];
-      [ "--only"; "figure2" ];
-      [ "--only"; "all" ];
-      [ "--k"; "1" ];
-      [ "--resume"; "--checkpoint"; "ck" ];
-      [ "--workers"; "4"; "--lease-secs"; "30"; "--max-unit-retries"; "3" ];
-      [ "--chaos"; "--workers"; "2" ];
+      [ "--only"; "Table5" ]; [ "--only"; "figure2" ]; [ "--only"; "all" ];
+      [ "--k"; "1" ]; [ "--resume"; "--checkpoint"; "ck" ];
+    ];
+  (* The default fleet has two workers, enough for chaos. *)
+  List.iter (accepted Cli.campaign)
+    [
+      [ "--ledger"; "l"; "--chaos" ];
+      [ "--ledger"; "l"; "--chaos"; "--workers"; "2" ];
+      [ "--ledger"; "l"; "--workers"; "4"; "--lease-secs"; "30" ];
     ];
   (* The parsed campaign values round-trip. *)
   match
-    Driver.parse_args_result
-      [ "--workers"; "4"; "--lease-secs"; "12.5"; "--max-unit-retries"; "5" ]
+    Helpers.parse_cli Cli.campaign
+      [ "--ledger"; "l"; "--workers"; "4"; "--lease-secs"; "12.5";
+        "--max-unit-retries"; "5"; "--circuits"; "mc, s8"; "--set-chunk"; "0" ]
   with
   | Error m -> Alcotest.fail ("unexpected Error: " ^ m)
-  | Ok opts ->
-    Alcotest.(check (option int)) "workers" (Some 4) opts.Driver.workers;
-    Alcotest.(check bool) "lease" true (opts.Driver.lease_secs = Some 12.5);
-    Alcotest.(check (option int)) "retries" (Some 5)
-      opts.Driver.max_unit_retries;
-    Alcotest.(check bool) "chaos off by default" false opts.Driver.chaos
+  | Ok c ->
+    Alcotest.(check int) "workers" 4 c.Cli.workers;
+    Alcotest.(check bool) "lease" true (c.Cli.lease_secs = Some 12.5);
+    Alcotest.(check int) "retries" 5 c.Cli.max_unit_retries;
+    Alcotest.(check bool) "chaos off by default" false c.Cli.chaos;
+    Alcotest.(check (option (list string))) "circuits trimmed"
+      (Some [ "mc"; "s8" ]) c.Cli.circuits;
+    Alcotest.(check (option int)) "set-chunk 0 means K/8" None c.Cli.set_chunk
 
-let test_parse_args_telemetry_flags () =
+let test_args_telemetry_flags () =
   let opts = parse_ok [ "--trace"; "out.jsonl"; "--metrics" ] in
   Alcotest.(check (option string)) "trace file" (Some "out.jsonl")
     opts.Driver.trace;
@@ -172,8 +184,8 @@ let test_parse_args_telemetry_flags () =
     defaults.Driver.metrics;
   Alcotest.(check bool) "--trace requires a value" true
     (Helpers.contains_substring
-       (failure_message [ "--trace" ])
-       "--trace requires a value")
+       (failure_message Cli.reproduce [ "--trace" ])
+       "--trace")
 
 let test_options_make () =
   Alcotest.(check bool) "no overrides = defaults" true
@@ -185,7 +197,7 @@ let test_options_make () =
   Alcotest.(check int) "untouched field keeps default"
     Driver.default_options.Driver.k2 opts.Driver.k2
 
-let test_parse_args_supervision_flags () =
+let test_args_supervision_flags () =
   let opts =
     parse_ok
       [ "--checkpoint"; "ck/dir"; "--resume"; "--timeout-per-circuit"; "2.5";
@@ -200,11 +212,11 @@ let test_parse_args_supervision_flags () =
     opts.Driver.inject;
   Alcotest.(check bool) "resume needs checkpoint" true
     (Helpers.contains_substring
-       (failure_message [ "--resume" ])
+       (failure_message Cli.reproduce [ "--resume" ])
        "--resume requires --checkpoint");
   Alcotest.(check bool) "bad inject spec" true
     (Helpers.contains_substring
-       (failure_message [ "--inject"; "frazzle=x" ])
+       (failure_message Cli.reproduce [ "--inject"; "frazzle=x" ])
        "--inject")
 
 (* checkpoint *)
@@ -851,20 +863,20 @@ let () =
     [
       ( "args",
         [
-          Alcotest.test_case "defaults" `Quick test_parse_args_defaults;
-          Alcotest.test_case "full" `Quick test_parse_args_full;
-          Alcotest.test_case "csv flag" `Quick test_parse_args_csv;
-          Alcotest.test_case "errors" `Quick test_parse_args_errors;
+          Alcotest.test_case "defaults" `Quick test_args_defaults;
+          Alcotest.test_case "full" `Quick test_args_full;
+          Alcotest.test_case "csv flag" `Quick test_args_csv;
+          Alcotest.test_case "errors" `Quick test_args_errors;
           Alcotest.test_case "friendly messages" `Quick
-            test_parse_args_friendly_messages;
-          Alcotest.test_case "result form" `Quick test_parse_args_result;
+            test_args_friendly_messages;
+          Alcotest.test_case "result form" `Quick test_args_result;
           Alcotest.test_case "contradictory flags rejected" `Quick
-            test_parse_args_rejects_contradictions;
+            test_args_rejects_contradictions;
           Alcotest.test_case "telemetry flags" `Quick
-            test_parse_args_telemetry_flags;
+            test_args_telemetry_flags;
           Alcotest.test_case "options make" `Quick test_options_make;
           Alcotest.test_case "supervision flags" `Quick
-            test_parse_args_supervision_flags;
+            test_args_supervision_flags;
         ] );
       ( "checkpoint",
         [

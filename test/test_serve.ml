@@ -7,7 +7,7 @@
 module Api = Ndetect_harness.Api
 module Rpc = Ndetect_harness.Rpc
 module Serve = Ndetect_harness.Serve
-module Driver = Ndetect_harness.Driver
+module Cli = Ndetect_harness.Cli
 module Supervise = Ndetect_util.Supervise
 module Telemetry = Ndetect_util.Telemetry
 
@@ -231,90 +231,137 @@ let test_section_names () =
   Alcotest.(check bool) "unknown section name" true
     (Api.Request.section_of_name "table9" = None)
 
-(* options -> request lowering *)
+(* command line -> request *)
+
+let parse_request term args =
+  match Helpers.parse_cli term args with
+  | Ok req -> req
+  | Error m -> Alcotest.fail ("unexpected usage error: " ^ m)
 
 let test_options_to_request () =
-  let lower only =
-    Driver.Options.to_request
-      (Driver.Options.make ~only ~k:11 ~k2:5 ~seed:3
-         ~timeout_per_circuit:1.5 ~table_cache:"tc" ())
-      ~source:(Api.Request.Suite "lion") ~label:"lion"
+  let req =
+    parse_request Cli.analyze
+      [ "lion"; "--timeout"; "1.5"; "--table-cache"; "tc"; "--domains"; "2";
+        "--kernel-backend"; "SWAR"; "--sim-strategy"; "cone" ]
   in
-  (match lower "table2" with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "table2 is worst" true
-      (req.Api.Request.sections = [ Api.Request.Worst ]);
-    Alcotest.(check int) "k carried" 11 req.Api.Request.k;
-    Alcotest.(check int) "k2 carried" 5 req.Api.Request.k2;
-    Alcotest.(check int) "seed carried" 3 req.Api.Request.seed;
-    Alcotest.(check bool) "deadline carried" true
-      (req.Api.Request.deadline = Some 1.5);
-    Alcotest.(check (option string)) "cache carried" (Some "tc")
-      req.Api.Request.cache_dir);
-  (match lower "table5" with
-  | Ok req ->
-    Alcotest.(check bool) "table5 is average" true
-      (req.Api.Request.sections = [ Api.Request.Average ])
-  | Error m -> Alcotest.fail m);
-  (match lower "table6" with
-  | Ok req ->
-    Alcotest.(check bool) "table6 is def2" true
-      (req.Api.Request.sections = [ Api.Request.Average_def2 ])
-  | Error m -> Alcotest.fail m);
-  (match lower "all" with
-  | Ok req ->
-    Alcotest.(check bool) "all three sections" true
+  Alcotest.(check bool) "analyze is worst" true
+    (req.Api.Request.sections = [ Api.Request.Worst ]);
+  Alcotest.(check bool) "suite source" true
+    (req.Api.Request.source = Api.Request.Suite "lion");
+  Alcotest.(check string) "label" "lion" req.Api.Request.label;
+  Alcotest.(check bool) "deadline carried" true
+    (req.Api.Request.deadline = Some 1.5);
+  Alcotest.(check (option string)) "cache carried" (Some "tc")
+    req.Api.Request.cache_dir;
+  Alcotest.(check (option int)) "domains carried" (Some 2)
+    req.Api.Request.domains;
+  Alcotest.(check (option string)) "backend lowercased" (Some "swar")
+    req.Api.Request.kernel_backend;
+  Alcotest.(check (option string)) "strategy carried" (Some "cone")
+    req.Api.Request.sim_strategy;
+  Alcotest.(check bool) "analyze defaults are the request defaults" true
+    (parse_request Cli.analyze [ "lion" ]
+    = Api.Request.make ~label:"lion" (Api.Request.Suite "lion"));
+  let req =
+    parse_request Cli.average [ "lion"; "-k"; "11"; "--seed"; "3"; "--nmax"; "4" ]
+  in
+  Alcotest.(check bool) "average section" true
+    (req.Api.Request.sections = [ Api.Request.Average ]);
+  Alcotest.(check int) "k carried" 11 req.Api.Request.k;
+  Alcotest.(check int) "k2 default" 200 req.Api.Request.k2;
+  Alcotest.(check int) "seed carried" 3 req.Api.Request.seed;
+  Alcotest.(check int) "nmax carried" 4 req.Api.Request.nmax;
+  let req = parse_request Cli.average [ "lion"; "--def2"; "-k"; "5" ] in
+  Alcotest.(check bool) "--def2 section" true
+    (req.Api.Request.sections = [ Api.Request.Average_def2 ]);
+  Alcotest.(check int) "--def2 -k sets k2" 5 req.Api.Request.k2;
+  Alcotest.(check int) "--def2 leaves k at its default" 1000
+    req.Api.Request.k;
+  (match
+     parse_request Cli.client
+       [ "lion"; "--sections"; "worst, average_def2"; "--k2"; "7" ]
+   with
+  | None -> Alcotest.fail "client with a CIRCUIT builds a request"
+  | Some req ->
+    Alcotest.(check bool) "client sections" true
       (req.Api.Request.sections
-      = [ Api.Request.Worst; Api.Request.Average; Api.Request.Average_def2 ])
-  | Error m -> Alcotest.fail m);
-  List.iter
-    (fun only ->
-      Alcotest.(check bool)
-        (only ^ " has no request form")
-        true
-        (Result.is_error (lower only)))
-    [ "table1"; "table4"; "figure2" ];
+      = [ Api.Request.Worst; Api.Request.Average_def2 ]);
+    Alcotest.(check int) "client k2" 7 req.Api.Request.k2);
+  Alcotest.(check bool) "client without CIRCUIT" true
+    (parse_request Cli.client [] = None);
+  Alcotest.(check bool) "unknown client section rejected" true
+    (Result.is_error
+       (Helpers.parse_cli Cli.client [ "lion"; "--sections"; "table9" ]));
   (* Sampled-universe lowering: the three flags become the request's
-     universe, with defaults filled in and invalid combinations
-     becoming structured errors. *)
-  let lower_sampled ?samples ?strata ?confidence () =
-    Driver.Options.to_request
-      (Driver.Options.make ~only:"table2" ?samples ?strata ?confidence ())
-      ~source:(Api.Request.Suite "lion") ~label:"lion"
+     universe, with defaults filled in. *)
+  let sampled args =
+    (parse_request Cli.analyze ("lion" :: args)).Api.Request.universe
   in
-  (match lower_sampled ~samples:300 ~strata:4 ~confidence:0.99 () with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "sampled universe lowered" true
-      (req.Api.Request.universe
-      = Api.Request.Sampled
-          { Api.Estimate.Spec.samples = 300; strata = 4; confidence = 0.99 }));
-  (match lower_sampled ~samples:300 () with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "strata and confidence default" true
-      (match req.Api.Request.universe with
-      | Api.Request.Sampled
-          { Api.Estimate.Spec.samples = 300; strata = 16; confidence = c } ->
-        c = Api.Estimate.Spec.default_confidence
-      | _ -> false));
-  (match lower_sampled () with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "no samples is exhaustive" true
-      (req.Api.Request.universe = Api.Request.Exhaustive));
+  Alcotest.(check bool) "sampled universe lowered" true
+    (sampled [ "--samples"; "300"; "--strata"; "4"; "--confidence"; "0.99" ]
+    = Api.Request.Sampled
+        { Api.Estimate.Spec.samples = 300; strata = 4; confidence = 0.99 });
+  Alcotest.(check bool) "strata and confidence default" true
+    (sampled [ "--samples"; "300" ]
+    = Api.Request.Sampled
+        {
+          Api.Estimate.Spec.samples = 300;
+          strata = 16;
+          confidence = Api.Estimate.Spec.default_confidence;
+        });
+  Alcotest.(check bool) "no samples is exhaustive" true
+    (sampled [] = Api.Request.Exhaustive);
   List.iter
-    (fun (label, req) ->
-      Alcotest.(check bool) label true (Result.is_error req))
+    (fun (label, term, args) ->
+      Alcotest.(check bool) label true
+        (Result.is_error (Helpers.parse_cli term args)))
     [
-      ("samples below strata rejected",
-       lower_sampled ~samples:3 ~strata:8 ());
-      ("confidence 1.0 rejected", lower_sampled ~samples:10 ~confidence:1.0 ());
-      ("strata without samples rejected", lower_sampled ~strata:4 ());
-      ("confidence without samples rejected",
-       lower_sampled ~confidence:0.9 ());
+      ("samples below strata rejected", Cli.analyze,
+       [ "lion"; "--samples"; "3"; "--strata"; "8" ]);
+      ("confidence 1.0 rejected", Cli.analyze,
+       [ "lion"; "--samples"; "10"; "--confidence"; "1.0" ]);
+      ("unknown backend rejected", Cli.analyze,
+       [ "lion"; "--kernel-backend"; "gpu" ]);
+      ("zero k rejected", Cli.average, [ "lion"; "-k"; "0" ]);
+      ("non-integer k rejected", Cli.average, [ "lion"; "-k"; "x" ]);
     ]
+
+(* A non-positive threshold is a usage error on the command line and a
+   decode error on the wire, with one message: both go through
+   Api.Request.validate. Before, the CLI patched nmax in after
+   validation and the bad value reached Procedure 1. *)
+let test_nmax_validated_once () =
+  List.iter
+    (fun nmax ->
+      let cli =
+        match
+          Helpers.parse_cli Cli.average
+            [ "lion"; Printf.sprintf "--nmax=%d" nmax ]
+        with
+        | Ok _ -> Alcotest.failf "--nmax=%d accepted" nmax
+        | Error m -> m
+      in
+      let wire =
+        match
+          Api.Request.of_json
+            (Api.Request.to_json
+               (Api.Request.make ~nmax ~label:"lion" (Api.Request.Suite "lion")))
+        with
+        | Ok _ -> Alcotest.failf "nmax %d decoded" nmax
+        | Error m -> m
+      in
+      let direct =
+        match
+          Api.Request.validate
+            (Api.Request.make ~nmax ~label:"lion" (Api.Request.Suite "lion"))
+        with
+        | Ok _ -> Alcotest.failf "nmax %d validated" nmax
+        | Error m -> m
+      in
+      Alcotest.(check string) "wire message is validate's" direct wire;
+      Alcotest.(check bool) "CLI message is validate's" true
+        (Helpers.contains_substring cli direct))
+    [ 0; -2 ]
 
 (* in-process daemon *)
 
@@ -390,6 +437,7 @@ type reply = {
   failure_spans : string list list;
       (* one entry per failure frame: its open-span stack *)
   overloaded : bool;
+  counters : (string * int) list;  (* the response's counter delta *)
 }
 
 let read_reply (_, ic, _) =
@@ -424,6 +472,13 @@ let read_reply (_, ic, _) =
           trace = List.rev !trace;
           failure_spans = List.rev !failure_spans;
           overloaded = false;
+          counters =
+            (match Rpc.member "counters" j with
+            | Some (Rpc.Obj members) ->
+              List.filter_map
+                (fun (name, v) -> Option.map (fun n -> (name, n)) (Rpc.to_int v))
+                members
+            | _ -> []);
         }
       | Some "overloaded" ->
         {
@@ -432,6 +487,7 @@ let read_reply (_, ic, _) =
           trace = [];
           failure_spans = [];
           overloaded = true;
+          counters = [];
         }
       | Some "error" ->
         Alcotest.fail
@@ -628,6 +684,37 @@ let test_serve_overload_is_structured () =
           Alcotest.(check bool) "overload counted" true
             (Telemetry.counter_value "serve.overloaded" >= 1)))
 
+(* A request that names no kernel backend or simulation strategy runs on
+   the process's startup selection, not on whatever the previous request
+   selected: after a cone request, a default request's counter deltas
+   (sim.* in particular) equal those of the same request run alone. *)
+let test_serve_runtime_does_not_leak () =
+  let default_request = quick_request "lion" in
+  let alone =
+    with_server (fun socket -> (one_shot socket default_request).counters)
+  in
+  let after_cone =
+    with_server (fun socket ->
+        let cone =
+          one_shot socket
+            (Api.Request.make ~sim_strategy:"cone" ~kernel_backend:"swar"
+               ~label:"mc" (Api.Request.Suite "mc"))
+        in
+        Alcotest.(check bool) "cone request propagated per fault" true
+          (List.mem_assoc "sim.cone_propagations" cone.counters);
+        (one_shot socket default_request).counters)
+  in
+  Alcotest.(check bool) "the default request simulated" true
+    (List.mem_assoc "sim.stem_regions" alone);
+  (* The resident-store gauges differ by construction: the cone run left
+     mc resident. *)
+  let work =
+    List.filter (fun (name, _) ->
+        not (String.starts_with ~prefix:"serve." name))
+  in
+  Alcotest.(check (list (pair string int))) "same counter deltas" (work alone)
+    (work after_cone)
+
 let () =
   Alcotest.run "serve"
     [
@@ -648,6 +735,8 @@ let () =
           Alcotest.test_case "section names" `Quick test_section_names;
           Alcotest.test_case "options lowering" `Quick
             test_options_to_request;
+          Alcotest.test_case "nmax validated once" `Quick
+            test_nmax_validated_once;
         ] );
       ( "daemon",
         [
@@ -662,5 +751,7 @@ let () =
             test_serve_warm_request_simulates_nothing;
           Alcotest.test_case "overload is structured" `Quick
             test_serve_overload_is_structured;
+          Alcotest.test_case "runtime selection does not leak" `Quick
+            test_serve_runtime_does_not_leak;
         ] );
     ]

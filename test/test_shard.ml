@@ -109,6 +109,8 @@ let test_spec_validation () =
   expect_invalid "zero set_chunk" (fun () ->
       Spec.make_campaign ~tier:Registry.Small ~set_chunk:0 ~seed:1
         ~set_count:4 ());
+  expect_invalid "zero nmax" (fun () ->
+      Spec.make_campaign ~tier:Registry.Small ~nmax:0 ~seed:1 ~set_count:4 ());
   (* Subsets keep registry order however they were spelled. *)
   let c =
     Spec.make_campaign ~tier:Registry.Small ~circuits:[ "s8"; "mc" ] ~seed:1
